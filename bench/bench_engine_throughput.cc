@@ -1,7 +1,6 @@
 /// Query-engine throughput: queries/sec of batched multi-threaded serving
 /// versus single-threaded sequential Tpa::Query, swept over thread count and
-/// batch size on a generated ≥100k-node R-MAT graph — including the SpMM
-/// group path (`batch_block_size`) against the per-seed fan-out baseline.
+/// batch size on a generated ≥100k-node R-MAT graph.
 ///
 ///   $ ./bench_engine_throughput [--scale N] [--edges M] [--queries Q]
 ///                               [--topk K] [--json PATH]
@@ -12,9 +11,9 @@
 /// extraction, bound-driven top-k, and warm-cache serving modes.
 /// `--precision fp32` materializes the graph (and therefore the whole
 /// serving stack — CSR values, CPI workspaces, cache entries) at the fp32
-/// tier; the default fp64 run additionally records fp32 serving rows and
-/// value-free (ValueStorage::kRowConstant, index-only CSR) serving rows so
-/// the tier and layout comparisons land in the JSON of every run.
+/// tier; the default fp64 run additionally records sequential fp32 and
+/// value-free (ValueStorage::kRowConstant, index-only CSR) rows so the tier
+/// and layout comparisons land in the JSON of every run.
 /// An open-loop overload sweep submits deadline-carrying queries at a
 /// multiple of capacity under each degradation policy (fail, certified
 /// partial, fp32 shed) and records the deadline-hit rate, degraded-answer
@@ -247,12 +246,10 @@ int Run(int argc, char** argv) {
                   TablePrinter::FormatDouble(qps / seq_qps, 2) + "x"});
   };
 
-  // Batched engine serving: thread sweep at full batch.  batch_block_size 0
-  // isolates pool scaling from the SpMM path measured below.
+  // Batched engine serving: thread sweep at full batch.
   for (int threads : thread_counts) {
     QueryEngineOptions options;
     options.num_threads = threads;
-    options.batch_block_size = 0;
     auto engine =
         QueryEngine::Create(*graph, std::make_unique<TpaMethod>(tpa_options),
                             options);
@@ -267,33 +264,18 @@ int Run(int argc, char** argv) {
             watch.ElapsedSeconds(), results.size());
   }
 
-  // Batch-size sweep: per-seed fan-out versus the SpMM group path at the
-  // same client batch size.  Both engines run a hardware-matched pool (a
-  // pool wider than the machine only measures scheduler thrash — group
-  // jobs hop between workers, each re-warming its own thread-local
-  // propagation workspace); the SpMM engine serves each cache-miss batch
-  // through QueryBatchDense in groups of batch_block_size, so each sweep
-  // point compares independent per-seed CSR traversals against shared
-  // multi-vector sweeps.  Each point reports the best of three passes to
-  // damp single-core scheduling noise.
+  // Batch-size sweep: the client splits the seeds into batches of each
+  // size, on a hardware-matched pool (a pool wider than the machine only
+  // measures scheduler thrash).  Each point reports the best of three
+  // passes to damp single-core scheduling noise.
   {
     const int threads = static_cast<int>(std::max(
         1u, std::min(hardware, static_cast<unsigned>(thread_counts.back()))));
     QueryEngineOptions per_seed_options;
     per_seed_options.num_threads = threads;
-    per_seed_options.batch_block_size = 0;
     auto per_seed = QueryEngine::Create(
         *graph, std::make_unique<TpaMethod>(tpa_options), per_seed_options);
     if (!per_seed.ok()) return 1;
-
-    QueryEngineOptions spmm_options;
-    spmm_options.num_threads = threads;
-    // One group block row per cache line; client batches larger than the
-    // block are split into several SpMM groups.
-    spmm_options.batch_block_size = 8;
-    auto spmm = QueryEngine::Create(
-        *graph, std::make_unique<TpaMethod>(tpa_options), spmm_options);
-    if (!spmm.ok()) return 1;
 
     std::vector<size_t> batch_sizes = {1, 8, 16, 32};
     if (seeds.size() > 32) batch_sizes.push_back(seeds.size());
@@ -320,26 +302,25 @@ int Run(int argc, char** argv) {
       auto [per_seed_seconds, per_seed_served] = timed_chunks(*per_seed);
       add_row("per-seed fan-out", threads, batch, per_seed_seconds,
               per_seed_served);
-      auto [spmm_seconds, spmm_served] = timed_chunks(*spmm);
-      add_row("spmm groups", threads, batch, spmm_seconds, spmm_served);
-      std::printf("batch %zu: spmm %.2fx over per-seed fan-out\n", batch,
-                  per_seed_seconds / spmm_seconds);
     }
   }
+
+  // The async and overload rows record 8 in their batch column, the group
+  // size they ran with while the engine still served SpMM groups, so their
+  // identity keys keep matching the committed baselines.
+  constexpr size_t kAsyncRowBatch = 8;
 
   // Async admission-queue serving.  Closed-loop: K clients each in a
   // submit-wait-repeat loop, so offered load tracks service capacity and
   // the queue stays near-empty.  Open-loop: arrivals at a fixed rate
   // regardless of completions — the production regime, where a backlog
-  // forms whenever arrivals outpace service and the scheduler coalesces
-  // the backlog into SpMM groups.  The mean seeds per dispatched job is
-  // the coalescing signal (1.0 = no batching emerged).
+  // forms whenever arrivals outpace service.  Every dispatched job serves
+  // one seed, so the reported seeds per job is always 1.
   {
     const int threads = static_cast<int>(std::max(
         1u, std::min(hardware, static_cast<unsigned>(thread_counts.back()))));
     QueryEngineOptions engine_options;
     engine_options.num_threads = threads;
-    engine_options.batch_block_size = 8;
 
     for (int clients : {1, 4, 16}) {
       auto async = AsyncQueryEngine::Create(
@@ -372,7 +353,7 @@ int Run(int argc, char** argv) {
                     static_cast<double>(stats.groups_dispatched)
               : 0.0;
       add_row("async closed-loop " + std::to_string(clients) + " clients",
-              threads, static_cast<size_t>(engine_options.batch_block_size),
+              threads, kAsyncRowBatch,
               seconds, seeds.size(), mean_group, clients);
       std::printf("async closed-loop %d clients: %.2f seeds/group\n",
                   clients, mean_group);
@@ -413,7 +394,7 @@ int Run(int argc, char** argv) {
       add_row("async open-loop x" +
                   TablePrinter::FormatDouble(rate_multiplier, 0) +
                   " arrival rate",
-              threads, static_cast<size_t>(engine_options.batch_block_size),
+              threads, kAsyncRowBatch,
               seconds, seeds.size(), mean_group, /*clients=*/0,
               rate_multiplier);
       std::printf("async open-loop x%.0f: %.2f seeds/group\n",
@@ -434,7 +415,6 @@ int Run(int argc, char** argv) {
         1u, std::min(hardware, static_cast<unsigned>(thread_counts.back()))));
     QueryEngineOptions engine_options;
     engine_options.num_threads = threads;
-    engine_options.batch_block_size = 8;
     // A budget of ~6 sequential service times per query; arrivals at ~4x
     // the pool's nominal capacity guarantee a backlog that pushes the tail
     // of the queue past that budget.
@@ -505,10 +485,8 @@ int Run(int argc, char** argv) {
       }
       const double seconds = watch.ElapsedSeconds();
       const double total = static_cast<double>(seeds.size());
-      add_row(mode.mode, threads,
-              static_cast<size_t>(engine_options.batch_block_size), seconds,
-              seeds.size(), /*mean_group=*/0.0, /*clients=*/0,
-              rate_multiplier);
+      add_row(mode.mode, threads, kAsyncRowBatch, seconds, seeds.size(),
+              /*mean_group=*/0.0, /*clients=*/0, rate_multiplier);
       rows.back().deadline_hit_rate = (total - missed) / total;
       rows.back().degraded_fraction = degraded / total;
       rows.back().shed_rate = shed / total;
@@ -520,10 +498,10 @@ int Run(int argc, char** argv) {
     }
   }
 
-  // Precision-tier serving rows: the same workload on the fp32-materialized
-  // twin graph — sequential native fp32 queries and the fp32 SpMM-group
-  // engine — so every default run records the tier comparison in its JSON
-  // (run with `--precision fp32` to put the whole sweep on the fp32 tier).
+  // Precision-tier row: the same workload as sequential native fp32
+  // queries on the fp32-materialized twin graph, so every default run
+  // records the tier comparison in its JSON (run with `--precision fp32` to
+  // put the whole sweep on the fp32 tier).
   if (tier == la::Precision::kFloat64) {
     Graph graph32 =
         RematerializeWithPrecision(*graph, la::Precision::kFloat32);
@@ -540,38 +518,12 @@ int Run(int argc, char** argv) {
     }
     add_row("sequential fp32 Tpa::QueryF", 1, seeds.size(),
             seq32_watch.ElapsedSeconds(), seeds.size());
-
-    const int threads = static_cast<int>(std::max(
-        1u, std::min(hardware, static_cast<unsigned>(thread_counts.back()))));
-    QueryEngineOptions options32;
-    options32.num_threads = threads;
-    // The fp32 line width: 16 block-row values per 64-byte cache line, so
-    // each CSR traversal is shared across twice the seeds of the fp64
-    // groups at the same per-edge line traffic (what kAuto resolves for an
-    // LLC-exceeding fp32 graph).
-    options32.batch_block_size = 16;
-    auto engine32 = QueryEngine::Create(
-        graph32, std::make_unique<TpaMethod>(tpa_options), options32);
-    if (!engine32.ok()) return 1;
-    double best_seconds = 0.0;
-    size_t served = 0;
-    for (int rep = 0; rep < 3; ++rep) {
-      Stopwatch watch;
-      served = engine32->QueryBatch(seeds).size();
-      const double seconds = watch.ElapsedSeconds();
-      if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
-    }
-    add_row("engine fp32 spmm groups", threads, seeds.size(), best_seconds,
-            served);
-    std::printf("fp32 serving: %.2fx over fp64 sequential\n",
-                (served / best_seconds) / seq_qps);
   }
 
-  // Value-free serving rows: the same workload on a kRowConstant rebuild of
-  // the graph — no per-edge value arrays, the kernels synthesize 1/out-deg
-  // in registers, results bitwise-identical to the explicit rows above.
-  // Sequential queries plus the SpMM group path, so the layout comparison
-  // covers both serving modes.
+  // Value-free row: the same workload as sequential queries on a
+  // kRowConstant rebuild of the graph — no per-edge value arrays, the
+  // kernels synthesize 1/out-deg in registers, results bitwise-identical to
+  // the explicit rows above.
   if (tier == la::Precision::kFloat64) {
     GraphBuilder builder(graph->num_nodes());
     for (NodeId u = 0; u < graph->num_nodes(); ++u) {
@@ -601,27 +553,6 @@ int Run(int argc, char** argv) {
     }
     add_row("sequential value-free Tpa::Query", 1, seeds.size(),
             seq_vf_watch.ElapsedSeconds(), seeds.size());
-
-    const int threads = static_cast<int>(std::max(
-        1u, std::min(hardware, static_cast<unsigned>(thread_counts.back()))));
-    QueryEngineOptions options_vf;
-    options_vf.num_threads = threads;
-    options_vf.batch_block_size = 8;  // the fp64 line width, as above
-    auto engine_vf = QueryEngine::Create(
-        *value_free, std::make_unique<TpaMethod>(tpa_options), options_vf);
-    if (!engine_vf.ok()) return 1;
-    double best_seconds = 0.0;
-    size_t served = 0;
-    for (int rep = 0; rep < 3; ++rep) {
-      Stopwatch watch;
-      served = engine_vf->QueryBatch(seeds).size();
-      const double seconds = watch.ElapsedSeconds();
-      if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
-    }
-    add_row("engine value-free spmm groups", threads, seeds.size(),
-            best_seconds, served);
-    std::printf("value-free serving: %.2fx over fp64 sequential\n",
-                (served / best_seconds) / seq_qps);
   }
 
   // Top-k extraction instead of dense vectors.

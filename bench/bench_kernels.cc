@@ -9,15 +9,14 @@
 /// With `--json PATH [--scale N] [--edges M]` the binary instead runs the
 /// sparse-vs-dense frontier crossover sweep on a generated R-MAT graph and
 /// writes the measurements machine-readable (e.g. BENCH_kernels.json): per
-/// frontier density, the time of SpMvTransposeFrontier / SpMmTransposeFrontier
-/// against their dense counterparts, plus the measured crossover density —
-/// the data behind CpiOptions::frontier_density_threshold's default.
+/// frontier density, the time of SpMvTransposeFrontier against the dense
+/// SpMvTranspose, plus the measured crossover density — the data behind
+/// CpiOptions::frontier_density_threshold's default.
 ///
 /// The same JSON run also records the fp32-vs-fp64 precision sweep: dense
-/// SpMv / SpMvTranspose / width-8 and width-16 SpMmTranspose timed at both
-/// value tiers over a ladder of graph sizes ending at the (cache-exceeding)
-/// sweep size — the data behind the "Precision tiers" guidance in the
-/// README.  Each ladder rung also times the value-free twins (kRowConstant
+/// SpMv / SpMvTranspose timed at both value tiers over a ladder of graph
+/// sizes ending at the (cache-exceeding) sweep size — the data behind the
+/// "Precision tiers" guidance in the README.  Each ladder rung also times the value-free twins (kRowConstant
 /// over the same structure, ≈4 streamed bytes/nnz, bitwise-identical
 /// outputs) at both tiers — the data behind the "Memory layout" section.
 
@@ -38,7 +37,6 @@
 #include "graph/generators.h"
 #include "graph/presets.h"
 #include "la/csr_matrix.h"
-#include "la/dense_block.h"
 #include "la/sparse_matrix.h"
 #include "method/monte_carlo.h"
 #include "method/push.h"
@@ -212,8 +210,6 @@ struct SweepRow {
   double density = 0.0;
   double spmv_sparse_ms = 0.0;
   double spmv_dense_ms = 0.0;
-  double spmm_sparse_ms = 0.0;
-  double spmm_dense_ms = 0.0;
   /// VmHWM when the row was recorded — a running process-lifetime maximum.
   size_t peak_rss_bytes = 0;
 };
@@ -247,33 +243,19 @@ struct PrecisionRow {
   double spmv_fp32_ms = 0.0;
   double spmvt_fp64_ms = 0.0;
   double spmvt_fp32_ms = 0.0;
-  double spmm8_fp64_ms = 0.0;
-  double spmm8_fp32_ms = 0.0;
-  double spmm16_fp64_ms = 0.0;
-  double spmm16_fp32_ms = 0.0;
   // Value-free twins (CsrValueMode::kRowConstant over the same structure):
   // identical outputs bitwise, index-only ≈4 bytes/nnz streamed.
   double spmv_vf64_ms = 0.0;
   double spmv_vf32_ms = 0.0;
   double spmvt_vf64_ms = 0.0;
   double spmvt_vf32_ms = 0.0;
-  double spmm8_vf64_ms = 0.0;
-  double spmm8_vf32_ms = 0.0;
-  double spmm16_vf64_ms = 0.0;
-  double spmm16_vf32_ms = 0.0;
   /// VmHWM when the row was recorded — a running process-lifetime maximum.
   size_t peak_rss_bytes = 0;
 };
 
 /// Times the dense kernels at both value tiers on one graph pair.  Dense
 /// uniform operands: every edge is touched, so the measurement isolates the
-/// bytes-per-edge difference the tiers exist for.  The block scatter is
-/// timed at width 8 (the fp64 line width — one fp64 block row per 64-byte
-/// cache line) and width 16 (the fp32 line width): the scatter's per-edge
-/// cost is one destination-line RMW at either tier, so the equal-width
-/// ratios understate fp32 and the width-16 ratio is the serving-relevant
-/// one — it is the group size the engine's kAuto dispatches at the fp32
-/// tier.
+/// bytes-per-edge difference the tiers exist for.
 ///
 /// Each output slot MIN-MERGES (0.0 = unset): the caller times the four
 /// storage variants in several interleaved rounds and keeps each variant's
@@ -284,8 +266,7 @@ struct PrecisionRow {
 /// and min-over-rounds converges each variant to its quiet-machine time.
 template <typename V>
 void TimePrecisionKernels(const la::CsrMatrixT<V>& csr, double& spmv_ms,
-                          double& spmvt_ms, double& spmm8_ms,
-                          double& spmm16_ms) {
+                          double& spmvt_ms) {
   const auto keep = [](double& slot, double ms) {
     slot = (slot == 0.0) ? ms : std::min(slot, ms);
   };
@@ -294,16 +275,6 @@ void TimePrecisionKernels(const la::CsrMatrixT<V>& csr, double& spmv_ms,
   std::vector<V> y;
   keep(spmv_ms, TimeMs([&] { csr.SpMv(x, y); }));
   keep(spmvt_ms, TimeMs([&] { csr.SpMvTranspose(x, y); }));
-  for (size_t width : {size_t{8}, size_t{16}}) {
-    la::DenseBlockT<V> bx(n, width);
-    for (uint32_t r = 0; r < n; ++r) {
-      V* row = bx.RowPtr(r);
-      for (size_t b = 0; b < width; ++b) row[b] = x[r];
-    }
-    la::DenseBlockT<V> by;
-    keep(width == 8 ? spmm8_ms : spmm16_ms,
-         TimeMs([&] { csr.SpMmTranspose(bx, by); }));
-  }
 }
 
 /// fp32-vs-fp64 over a size ladder ending at the sweep size; the largest
@@ -363,35 +334,24 @@ std::vector<PrecisionRow> RunPrecisionSweep(const SweepArgs& args,
     constexpr int kTimingRounds = 3;
     for (int round = 0; round < kTimingRounds; ++round) {
       TimePrecisionKernels(graph->Transition(), row.spmv_fp64_ms,
-                           row.spmvt_fp64_ms, row.spmm8_fp64_ms,
-                           row.spmm16_fp64_ms);
-      TimePrecisionKernels(vf64, row.spmv_vf64_ms, row.spmvt_vf64_ms,
-                           row.spmm8_vf64_ms, row.spmm16_vf64_ms);
+                           row.spmvt_fp64_ms);
+      TimePrecisionKernels(vf64, row.spmv_vf64_ms, row.spmvt_vf64_ms);
       TimePrecisionKernels(graph32.TransitionF(), row.spmv_fp32_ms,
-                           row.spmvt_fp32_ms, row.spmm8_fp32_ms,
-                           row.spmm16_fp32_ms);
-      TimePrecisionKernels(vf32, row.spmv_vf32_ms, row.spmvt_vf32_ms,
-                           row.spmm8_vf32_ms, row.spmm16_vf32_ms);
+                           row.spmvt_fp32_ms);
+      TimePrecisionKernels(vf32, row.spmv_vf32_ms, row.spmvt_vf32_ms);
     }
     std::printf(
         "precision scale %2u (%7u nodes, %8llu edges): "
-        "spmv %.3f/%.3f ms (%.2fx)  spmvt %.3f/%.3f ms (%.2fx)  "
-        "spmm8 %.3f/%.3f ms (%.2fx)  spmm16 %.3f/%.3f ms (%.2fx)\n",
+        "spmv %.3f/%.3f ms (%.2fx)  spmvt %.3f/%.3f ms (%.2fx)\n",
         row.scale, row.nodes, static_cast<unsigned long long>(row.edges),
         row.spmv_fp64_ms, row.spmv_fp32_ms, row.spmv_fp64_ms / row.spmv_fp32_ms,
         row.spmvt_fp64_ms, row.spmvt_fp32_ms,
-        row.spmvt_fp64_ms / row.spmvt_fp32_ms, row.spmm8_fp64_ms,
-        row.spmm8_fp32_ms, row.spmm8_fp64_ms / row.spmm8_fp32_ms,
-        row.spmm16_fp64_ms, row.spmm16_fp32_ms,
-        row.spmm16_fp64_ms / row.spmm16_fp32_ms);
+        row.spmvt_fp64_ms / row.spmvt_fp32_ms);
     std::printf(
         "value-free scale %2u: spmvt vf64 %.3f ms (%.2fx vs fp64) "
-        "vf32 %.3f ms (%.2fx vs fp32)  spmm16 vf64 %.3f ms (%.2fx vs fp64) "
         "vf32 %.3f ms (%.2fx vs fp32)\n",
         row.scale, row.spmvt_vf64_ms, row.spmvt_fp64_ms / row.spmvt_vf64_ms,
-        row.spmvt_vf32_ms, row.spmvt_fp32_ms / row.spmvt_vf32_ms,
-        row.spmm16_vf64_ms, row.spmm16_fp64_ms / row.spmm16_vf64_ms,
-        row.spmm16_vf32_ms, row.spmm16_fp32_ms / row.spmm16_vf32_ms);
+        row.spmvt_vf32_ms, row.spmvt_fp32_ms / row.spmvt_vf32_ms);
     row.peak_rss_bytes = PeakRssBytes();
     rows.push_back(row);
   }
@@ -411,29 +371,15 @@ void AppendPrecisionJson(std::ofstream& out,
         << ", \"spmv_fp32_ms\": " << row.spmv_fp32_ms
         << ", \"spmvt_fp64_ms\": " << row.spmvt_fp64_ms
         << ", \"spmvt_fp32_ms\": " << row.spmvt_fp32_ms
-        << ", \"spmm8_fp64_ms\": " << row.spmm8_fp64_ms
-        << ", \"spmm8_fp32_ms\": " << row.spmm8_fp32_ms
-        << ", \"spmm16_fp64_ms\": " << row.spmm16_fp64_ms
-        << ", \"spmm16_fp32_ms\": " << row.spmm16_fp32_ms
-        << ", \"spmm16_fp32_speedup\": "
-        << row.spmm16_fp64_ms / row.spmm16_fp32_ms
         << ", \"csr_bytes_vf\": " << row.csr_bytes_vf
         << ", \"spmv_vf64_ms\": " << row.spmv_vf64_ms
         << ", \"spmv_vf32_ms\": " << row.spmv_vf32_ms
         << ", \"spmvt_vf64_ms\": " << row.spmvt_vf64_ms
         << ", \"spmvt_vf32_ms\": " << row.spmvt_vf32_ms
-        << ", \"spmm8_vf64_ms\": " << row.spmm8_vf64_ms
-        << ", \"spmm8_vf32_ms\": " << row.spmm8_vf32_ms
-        << ", \"spmm16_vf64_ms\": " << row.spmm16_vf64_ms
-        << ", \"spmm16_vf32_ms\": " << row.spmm16_vf32_ms
         << ", \"spmvt_vf64_speedup_vs_fp64\": "
         << row.spmvt_fp64_ms / row.spmvt_vf64_ms
         << ", \"spmvt_vf32_speedup_vs_fp32\": "
         << row.spmvt_fp32_ms / row.spmvt_vf32_ms
-        << ", \"spmm16_vf64_speedup_vs_fp64\": "
-        << row.spmm16_fp64_ms / row.spmm16_vf64_ms
-        << ", \"spmm16_vf32_speedup_vs_fp32\": "
-        << row.spmm16_fp32_ms / row.spmm16_vf32_ms
         << ", \"peak_rss_bytes\": " << row.peak_rss_bytes << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
@@ -441,12 +387,10 @@ void AppendPrecisionJson(std::ofstream& out,
 }
 
 /// The sparse-vs-dense crossover: one scatter at a synthetic frontier of f
-/// rows (deterministically spread over the id space), timed for the scalar
-/// and the width-8 block kernel against their dense counterparts.  The
-/// crossover density — where sparse stops winning — is what
+/// rows (deterministically spread over the id space), timed against the
+/// dense scatter.  The crossover density — where sparse stops winning — is what
 /// CpiOptions::frontier_density_threshold encodes.
 int RunCrossoverSweep(const SweepArgs& args) {
-  constexpr size_t kBlockWidth = 8;
   RmatOptions rmat;
   rmat.scale = args.scale;
   rmat.edges = args.edges;
@@ -465,13 +409,11 @@ int RunCrossoverSweep(const SweepArgs& args) {
     row.density = static_cast<double>(f) / n;
 
     std::vector<double> x(n, 0.0);
-    la::DenseBlock bx(n, kBlockWidth);
     std::vector<uint32_t> frontier;
     frontier.reserve(f);
     for (size_t i = 0; i < f; ++i) {
       const auto r = static_cast<uint32_t>((uint64_t{i} * 2654435761u) % n);
       x[r] = 1.0 / static_cast<double>(f);
-      for (size_t b = 0; b < kBlockWidth; ++b) bx.At(r, b) = x[r];
       frontier.push_back(r);
     }
     std::sort(frontier.begin(), frontier.end());
@@ -490,26 +432,10 @@ int RunCrossoverSweep(const SweepArgs& args) {
     std::vector<double> dense_y;
     row.spmv_dense_ms = TimeMs([&] { csr.SpMvTranspose(x, dense_y); });
 
-    la::DenseBlock by(n, kBlockWidth);
-    next_frontier.clear();
-    row.spmm_sparse_ms = TimeMs([&] {
-      for (uint32_t j : next_frontier) {
-        double* row_ptr = by.RowPtr(j);
-        std::fill(row_ptr, row_ptr + kBlockWidth, 0.0);
-      }
-      csr.SpMmTransposeFrontier(bx, frontier, 1.0, by, next_frontier,
-                                scratch);
-    });
-    la::DenseBlock dense_by;
-    row.spmm_dense_ms = TimeMs([&] { csr.SpMmTranspose(bx, dense_by); });
-
     std::printf(
-        "frontier %7zu (density %.4f): spmv %.3f/%.3f ms (%.2fx)  "
-        "spmm%zu %.3f/%.3f ms (%.2fx)\n",
+        "frontier %7zu (density %.4f): spmv %.3f/%.3f ms (%.2fx)\n",
         row.frontier_rows, row.density, row.spmv_sparse_ms,
-        row.spmv_dense_ms, row.spmv_dense_ms / row.spmv_sparse_ms,
-        kBlockWidth, row.spmm_sparse_ms, row.spmm_dense_ms,
-        row.spmm_dense_ms / row.spmm_sparse_ms);
+        row.spmv_dense_ms, row.spmv_dense_ms / row.spmv_sparse_ms);
     row.peak_rss_bytes = PeakRssBytes();
     rows.push_back(row);
   }
@@ -524,11 +450,7 @@ int RunCrossoverSweep(const SweepArgs& args) {
   const double spmv_crossover =
       crossover([](const SweepRow& r) { return r.spmv_sparse_ms; },
                 [](const SweepRow& r) { return r.spmv_dense_ms; });
-  const double spmm_crossover =
-      crossover([](const SweepRow& r) { return r.spmm_sparse_ms; },
-                [](const SweepRow& r) { return r.spmm_dense_ms; });
-  std::printf("crossover density: spmv %.4f, spmm %.4f\n", spmv_crossover,
-              spmm_crossover);
+  std::printf("crossover density: spmv %.4f\n", spmv_crossover);
 
   const std::vector<PrecisionRow> precision_rows =
       RunPrecisionSweep(args, *graph);
@@ -542,9 +464,7 @@ int RunCrossoverSweep(const SweepArgs& args) {
   out << "  \"benchmark\": \"kernels_frontier_crossover\",\n";
   out << "  \"graph\": {\"scale\": " << args.scale << ", \"nodes\": " << n
       << ", \"edges\": " << csr.nnz() << "},\n";
-  out << "  \"block_width\": " << kBlockWidth << ",\n";
   out << "  \"spmv_crossover_density\": " << spmv_crossover << ",\n";
-  out << "  \"spmm_crossover_density\": " << spmm_crossover << ",\n";
   out << "  \"rows\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const SweepRow& row = rows[i];
@@ -552,8 +472,6 @@ int RunCrossoverSweep(const SweepArgs& args) {
         << ", \"density\": " << row.density
         << ", \"spmv_sparse_ms\": " << row.spmv_sparse_ms
         << ", \"spmv_dense_ms\": " << row.spmv_dense_ms
-        << ", \"spmm_sparse_ms\": " << row.spmm_sparse_ms
-        << ", \"spmm_dense_ms\": " << row.spmm_dense_ms
         << ", \"peak_rss_bytes\": " << row.peak_rss_bytes << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }

@@ -1,8 +1,7 @@
 /// Async serving: one engine multiplexing many independent clients through
 /// the admission queue — per-query Submit/ticket instead of the blocking
 /// QueryBatch latch.  Demonstrates completion callbacks, deadlines,
-/// client-side cancellation, and the queue-full backpressure policies,
-/// with opportunistic SpMM coalescing happening underneath.
+/// client-side cancellation, and the queue-full backpressure policies.
 ///
 ///   $ ./example_async_serving
 
@@ -30,13 +29,12 @@ int main() {
   }
 
   // Engine side: preprocessing runs once in Create; the admission queue
-  // bounds how many requests may wait, and misses are coalesced into SpMM
-  // groups of batch_block_size as they queue up.
+  // bounds how many requests may wait, and each serving job answers one
+  // of them.
   tpa::QueryEngineOptions engine_options;
   engine_options.num_threads = 4;
   engine_options.top_k = 3;
   engine_options.cache_capacity = 100;
-  engine_options.batch_block_size = 8;
   tpa::AsyncQueryEngineOptions async_options;
   async_options.queue_capacity = 256;
   async_options.queue_full_policy = tpa::QueueFullPolicy::kBlock;
@@ -104,11 +102,6 @@ int main() {
       static_cast<unsigned long long>(stats.completed),
       static_cast<unsigned long long>(stats.cancelled),
       static_cast<unsigned long long>(stats.expired));
-  if (stats.groups_dispatched > 0) {
-    std::printf("coalescing: %.2f seeds per dispatched group on average\n",
-                static_cast<double>(stats.seeds_dispatched) /
-                    static_cast<double>(stats.groups_dispatched));
-  }
 
   // Destruction shuts down cleanly: admissions stop, everything already
   // admitted is served, then the engine joins its scheduler and pool.

@@ -1,8 +1,6 @@
 /// Batch serving: the paper's client–server scenario.  Preprocess TPA once,
 /// then serve many concurrent seed queries through the QueryEngine — top-k
-/// results, a fixed thread pool, an LRU cache for repeated seeds, and the
-/// batch-first SpMM path that serves a whole group of seeds with one shared
-/// traversal of the CSR arrays (QueryBatchDense / batch_block_size).
+/// results, a fixed thread pool, and an LRU cache for repeated seeds.
 ///
 ///   $ ./example_batch_serving
 
@@ -13,7 +11,6 @@
 #include "engine/query_engine.h"
 #include "graph/generators.h"
 #include "method/tpa_method.h"
-#include "util/stopwatch.h"
 
 int main() {
   // A mid-size community-structured graph standing in for the shared
@@ -80,45 +77,5 @@ int main() {
               cached, repeat.size(),
               static_cast<unsigned long long>(stats.hits),
               static_cast<unsigned long long>(stats.misses));
-
-  // The SpMM path: TPA supports native batched queries (QueryBatchDense),
-  // so cache-miss seeds are served in groups of batch_block_size — every
-  // group shares one traversal of the Ã^T CSR arrays instead of walking
-  // them once per seed.  Compare against the per-seed fan-out
-  // (batch_block_size = 0) on one uncached 32-seed batch.  Which side wins
-  // depends on the regime: traversal sharing pays when the CSR arrays dwarf
-  // the last-level cache or cores contend for bandwidth; on a small
-  // cache-resident graph like this one, per-seed queries keep their
-  // frontier sparsity and typically stay ahead (see README "Batched
-  // serving").
-  std::vector<tpa::NodeId> burst;
-  for (tpa::NodeId s = 0; s < 32; ++s) burst.push_back(s * 601 + 7);
-
-  tpa::QueryEngineOptions per_seed_options;
-  per_seed_options.num_threads = 4;
-  per_seed_options.batch_block_size = 0;  // per-seed fan-out baseline
-  auto per_seed = tpa::QueryEngine::Create(
-      *graph, std::make_unique<tpa::TpaMethod>(), per_seed_options);
-  if (!per_seed.ok()) return 1;
-  tpa::Stopwatch per_seed_watch;
-  per_seed->QueryBatch(burst);
-  const double per_seed_seconds = per_seed_watch.ElapsedSeconds();
-
-  tpa::QueryEngineOptions spmm_options;
-  spmm_options.num_threads = 4;
-  spmm_options.batch_block_size = 16;  // two SpMM groups for 32 seeds
-  auto spmm = tpa::QueryEngine::Create(
-      *graph, std::make_unique<tpa::TpaMethod>(), spmm_options);
-  if (!spmm.ok()) return 1;
-  tpa::Stopwatch spmm_watch;
-  spmm->QueryBatch(burst);
-  const double spmm_seconds = spmm_watch.ElapsedSeconds();
-
-  std::printf(
-      "\n32-seed burst, dense results (identical bitwise either way):\n"
-      "  per-seed fan-out:           %6.1f queries/s\n"
-      "  spmm groups (block=16):     %6.1f queries/s  (%.2fx)\n",
-      burst.size() / per_seed_seconds, burst.size() / spmm_seconds,
-      per_seed_seconds / spmm_seconds);
   return 0;
 }

@@ -37,8 +37,8 @@ Status ValidateOptions(const CpiOptions& options) {
   return OkStatus();
 }
 
-/// Scalar and blocked interim buffers of the workspace at tier V — the
-/// other tier's buffers are never touched by a V-run.
+/// Interim buffers of the workspace at tier V — the other tier's buffers
+/// are never touched by a V-run.
 template <typename V>
 std::vector<V>& WsX(Cpi::Workspace& ws) {
   if constexpr (std::is_same_v<V, double>) {
@@ -53,22 +53,6 @@ std::vector<V>& WsNext(Cpi::Workspace& ws) {
     return ws.next;
   } else {
     return ws.next_f;
-  }
-}
-template <typename V>
-la::DenseBlockT<V>& WsBlockX(Cpi::Workspace& ws) {
-  if constexpr (std::is_same_v<V, double>) {
-    return ws.block_x;
-  } else {
-    return ws.block_x_f;
-  }
-}
-template <typename V>
-la::DenseBlockT<V>& WsBlockNext(Cpi::Workspace& ws) {
-  if constexpr (std::is_same_v<V, double>) {
-    return ws.block_next;
-  } else {
-    return ws.block_next_f;
   }
 }
 
@@ -103,84 +87,6 @@ double ScaleAccumulateAndNormFrontier(double decay,
     norm += std::abs(static_cast<double>(v));
   }
   return norm;
-}
-
-/// The blocked equivalent of one scalar post-propagate phase — Scale(decay),
-/// Axpy into the accumulator, NormL1 — fused into a single streaming pass
-/// over the block (three separate n×B sweeps would triple the dominant
-/// dense traffic of a batched iteration).  Per element the arithmetic and
-/// its order match the scalar phases exactly: v = x·decay, acc += v (for
-/// vectors still accumulating), norm_b += |v| over rows in ascending
-/// order.  A frozen vector keeps propagating through the shared SpMM
-/// (cheaper than compacting the block) but stops accumulating, exactly
-/// like its scalar loop breaking.
-template <typename V>
-std::vector<double> ScaleAccumulateAndNorms(double decay, bool accumulate,
-                                            const std::vector<char>& active,
-                                            size_t remaining,
-                                            la::DenseBlockT<V>& x,
-                                            la::DenseBlockT<V>& acc) {
-  const size_t num_vectors = x.num_vectors();
-  std::vector<double> norms(num_vectors, 0.0);
-  const bool all_active = remaining == num_vectors;
-  double* norms_data = norms.data();
-  for (size_t r = 0; r < x.rows(); ++r) {
-    V* __restrict xr = x.RowPtr(r);
-    V* __restrict ar = acc.RowPtr(r);
-    for (size_t b = 0; b < num_vectors; ++b) {
-      const V v = static_cast<V>(static_cast<double>(xr[b]) * decay);
-      xr[b] = v;
-      if (accumulate && (all_active || active[b])) {
-        ar[b] += static_cast<double>(v);
-      }
-      norms_data[b] += std::abs(static_cast<double>(v));
-    }
-  }
-  return norms;
-}
-
-/// Frontier-restricted variant of ScaleAccumulateAndNorms: the same fused
-/// pass over only the union-frontier rows (sorted ascending), which is a
-/// superset of every vector's support.  Rows off the frontier hold exact
-/// +0.0 in all B lanes, so skipping them is a bitwise no-op against the
-/// full sweep.  With decay == 1.0 this doubles as the x(0) accumulation
-/// pass (v = x·1.0 is bitwise x for the NaN/Inf/−0.0-free inputs the
-/// kernels already assume).
-template <typename V>
-std::vector<double> ScaleAccumulateAndNormsFrontier(
-    double decay, bool accumulate, const std::vector<char>& active,
-    size_t remaining, std::span<const NodeId> frontier, la::DenseBlockT<V>& x,
-    la::DenseBlockT<V>& acc) {
-  const size_t num_vectors = x.num_vectors();
-  std::vector<double> norms(num_vectors, 0.0);
-  const bool all_active = remaining == num_vectors;
-  double* norms_data = norms.data();
-  for (NodeId r : frontier) {
-    V* __restrict xr = x.RowPtr(r);
-    V* __restrict ar = acc.RowPtr(r);
-    for (size_t b = 0; b < num_vectors; ++b) {
-      const V v = static_cast<V>(static_cast<double>(xr[b]) * decay);
-      xr[b] = v;
-      if (accumulate && (all_active || active[b])) {
-        ar[b] += static_cast<double>(v);
-      }
-      norms_data[b] += std::abs(static_cast<double>(v));
-    }
-  }
-  return norms;
-}
-
-/// Marks vectors whose interim norm dropped below tolerance as frozen;
-/// returns how many remain active.
-size_t FreezeConverged(const std::vector<double>& norms, double tolerance,
-                       std::vector<char>& active, size_t remaining) {
-  for (size_t b = 0; b < norms.size(); ++b) {
-    if (active[b] && norms[b] < tolerance) {
-      active[b] = 0;
-      --remaining;
-    }
-  }
-  return remaining;
 }
 
 /// Whether the adaptive head applies at all: the frontier kernels are
@@ -604,145 +510,6 @@ StatusOr<Cpi::ResultT<V>> Cpi::RunWithSeedVectorT(const Graph& graph,
 }
 
 template <typename V>
-StatusOr<la::DenseBlockT<V>> Cpi::RunBatchT(
-    const Graph& graph, std::span<const NodeId> seeds,
-    const CpiOptions& options, Workspace* workspace,
-    std::span<QueryContext* const> contexts) {
-  TPA_RETURN_IF_ERROR(ValidateOptions(options));
-  if (seeds.empty()) {
-    return InvalidArgumentError("seed batch must be non-empty");
-  }
-  if (!contexts.empty() && contexts.size() != seeds.size()) {
-    return InvalidArgumentError(
-        "contexts must be empty or align with the seed batch");
-  }
-  for (NodeId s : seeds) {
-    if (s >= graph.num_nodes()) {
-      return OutOfRangeError("seed node out of range");
-    }
-  }
-  Workspace local;
-  Workspace& ws = workspace != nullptr ? *workspace : local;
-
-  const NodeId n = graph.num_nodes();
-  const double c = options.restart_probability;
-  const double decay = 1.0 - c;
-  const size_t num_vectors = seeds.size();
-  const double limit =
-      options.frontier_density_threshold * static_cast<double>(n);
-
-  // x(0) = c·e_s per vector; 1.0·c == c bitwise, matching the scalar path's
-  // q[s] = 1.0 followed by Scale(c, ·).
-  la::DenseBlockT<V>& x = WsBlockX<V>(ws);
-  la::DenseBlockT<V>& next = WsBlockNext<V>(ws);
-  x.Resize(n, num_vectors);
-  x.SetZero();
-  for (size_t b = 0; b < num_vectors; ++b) {
-    x.At(seeds[b], b) = static_cast<V>(c);
-  }
-
-  la::DenseBlockT<V> acc(n, num_vectors);
-  std::vector<char> active(num_vectors, 1);
-  size_t remaining = num_vectors;
-
-  // Aborting seeds drop out through the same freeze the convergence check
-  // uses: the frozen vector rides the shared SpMM but stops accumulating,
-  // so its block column is bitwise the aborted scalar run's scores.  Runs
-  // after FreezeConverged so convergence outranks the abort.
-  auto freeze_aborted = [&](int i, const std::vector<double>& norms) {
-    if (contexts.empty()) return;
-    for (size_t b = 0; b < num_vectors; ++b) {
-      QueryContext* context = contexts[b];
-      if (!active[b] || context == nullptr) continue;
-      if (i < context->min_iterations) continue;
-      const StatusCode code = context->AbortNow();
-      if (code == StatusCode::kOk) continue;
-      const double bound = CpiRemainingMassBound(
-          norms[b], options.restart_probability, options.tolerance, i,
-          options.terminal_iteration);
-      context->aborted = true;
-      context->abort_code = code;
-      context->aborted_at_iteration = i;
-      context->error_bound = bound;
-      active[b] = 0;
-      --remaining;
-    }
-  };
-
-  // The union frontier: sorted unique seeds, a superset of every vector's
-  // support.
-  bool sparse = SparseHeadEnabled(options);
-  if (sparse) {
-    ws.frontier.assign(seeds.begin(), seeds.end());
-    std::sort(ws.frontier.begin(), ws.frontier.end());
-    ws.frontier.erase(std::unique(ws.frontier.begin(), ws.frontier.end()),
-                      ws.frontier.end());
-    if (static_cast<double>(ws.frontier.size()) > limit) sparse = false;
-  }
-  next.Resize(n, num_vectors);
-  if (sparse) next.SetZero();  // the recycled buffer starts fully zeroed
-  ws.next_frontier.clear();
-
-  {
-    std::vector<double> norms0;
-    if (sparse) {
-      norms0 = ScaleAccumulateAndNormsFrontier<V>(
-          1.0, options.start_iteration == 0, active, remaining, ws.frontier,
-          x, acc);
-    } else {
-      if (options.start_iteration == 0) la::BlockAxpy(1.0, x, acc);
-      norms0 = la::BlockColumnNormsL1(x);
-    }
-    remaining = FreezeConverged(norms0, options.tolerance, active, remaining);
-    freeze_aborted(0, norms0);
-  }
-
-  la::TaskRunner* runner = options.task_runner;
-  for (int i = 1; i <= options.terminal_iteration && remaining > 0; ++i) {
-    TPA_FAILPOINT_HIT("cpi.iteration");
-    if (sparse && static_cast<double>(ws.frontier.size()) > limit) {
-      // Cross to the dense tail here (rather than through the kernel's own
-      // fallthrough) so the dense sweep can take the partition-parallel
-      // path below; both orders produce bitwise-identical blocks.
-      sparse = false;
-    }
-    if (options.use_pull) {
-      graph.MultiplyTransposePullBlockT<V>(x, next);
-    } else if (sparse) {
-      // Re-zero the stale support of the recycled buffer (the interim
-      // block from two iterations ago), then scatter from the frontier.
-      for (NodeId j : ws.next_frontier) {
-        V* row = next.RowPtr(j);
-        std::fill(row, row + num_vectors, V{0});
-      }
-      const bool stayed = graph.TransitionT<V>().SpMmTransposeFrontier(
-          x, ws.frontier, options.frontier_density_threshold, next,
-          ws.next_frontier, ws.scratch);
-      TPA_DCHECK(stayed);  // the pre-check above mirrors the kernel's
-      (void)stayed;
-    } else if (runner != nullptr) {
-      graph.MultiplyTransposeBlockParallelT<V>(x, next, *runner);
-    } else {
-      graph.MultiplyTransposeBlockT<V>(x, next);
-    }
-    x.swap(next);
-    std::vector<double> norms;
-    if (sparse) {
-      ws.frontier.swap(ws.next_frontier);
-      norms = ScaleAccumulateAndNormsFrontier<V>(
-          decay, i >= options.start_iteration, active, remaining, ws.frontier,
-          x, acc);
-    } else {
-      norms = ScaleAccumulateAndNorms<V>(decay, i >= options.start_iteration,
-                                         active, remaining, x, acc);
-    }
-    remaining = FreezeConverged(norms, options.tolerance, active, remaining);
-    freeze_aborted(i, norms);
-  }
-  return acc;
-}
-
-template <typename V>
 StatusOr<std::vector<std::vector<V>>> Cpi::RunWindowedT(
     const Graph& graph, const std::vector<V>& q,
     const std::vector<int>& breakpoints, const CpiOptions& options,
@@ -892,12 +659,6 @@ template StatusOr<Cpi::ResultT<double>> Cpi::RunWithSeedVectorT<double>(
     const Graph&, const std::vector<double>&, const CpiOptions&, Workspace*);
 template StatusOr<Cpi::ResultT<float>> Cpi::RunWithSeedVectorT<float>(
     const Graph&, const std::vector<float>&, const CpiOptions&, Workspace*);
-template StatusOr<la::DenseBlockT<double>> Cpi::RunBatchT<double>(
-    const Graph&, std::span<const NodeId>, const CpiOptions&, Workspace*,
-    std::span<QueryContext* const>);
-template StatusOr<la::DenseBlockT<float>> Cpi::RunBatchT<float>(
-    const Graph&, std::span<const NodeId>, const CpiOptions&, Workspace*,
-    std::span<QueryContext* const>);
 template StatusOr<std::vector<std::vector<double>>> Cpi::RunWindowedT<double>(
     const Graph&, const std::vector<double>&, const std::vector<int>&,
     const CpiOptions&, Workspace*);

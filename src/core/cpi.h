@@ -7,9 +7,7 @@
 
 #include "graph/graph.h"
 #include "la/csr_matrix.h"
-#include "la/dense_block.h"
 #include "la/precision.h"
-#include "la/task_runner.h"
 #include "la/topk.h"
 #include "util/query_context.h"
 #include "util/status.h"
@@ -39,11 +37,6 @@ struct CpiOptions {
   /// setting; this is purely a throughput knob (`bench_kernels --json`
   /// records the measured crossover).
   double frontier_density_threshold = 0.125;
-  /// Optional fork-join runner for the dense-tail propagation of RunBatch:
-  /// the SpMM scatter is partitioned by destination range, which keeps it
-  /// deterministic and bitwise-identical to the serial sweep.  Serial when
-  /// null.  Not owned.
-  la::TaskRunner* task_runner = nullptr;
 
   static constexpr int kUnbounded = std::numeric_limits<int>::max();
 };
@@ -87,8 +80,8 @@ class Cpi {
   using Result = ResultT<double>;
   using ResultF = ResultT<float>;
 
-  /// Reusable scratch of the propagation loop: the interim vectors (scalar
-  /// and blocked, at both precision tiers), the frontier lists of the
+  /// Reusable scratch of the propagation loop: the interim vectors (at both
+  /// precision tiers), the frontier lists of the
   /// adaptive head, and the kernel scratch.  Passing one workspace across
   /// queries hoists the full-n allocations a cold run would otherwise make
   /// per query out of the serving loop (buffers are resized once and
@@ -100,12 +93,8 @@ class Cpi {
   struct Workspace {
     std::vector<double> x;
     std::vector<double> next;
-    la::DenseBlock block_x;
-    la::DenseBlock block_next;
     std::vector<float> x_f;
     std::vector<float> next_f;
-    la::DenseBlockF block_x_f;
-    la::DenseBlockF block_next_f;
     std::vector<NodeId> frontier;
     std::vector<NodeId> next_frontier;
     la::FrontierScratch scratch;
@@ -148,36 +137,6 @@ class Cpi {
                                             const CpiOptions& options,
                                             Workspace* workspace = nullptr) {
     return RunWithSeedVectorT<double>(graph, q, options, workspace);
-  }
-
-  /// Batched CPI: runs the window for B single-node seeds at once, sharing
-  /// one SpMM sweep over the CSR arrays per iteration instead of B
-  /// independent SpMv sweeps.  The first iterations run frontier-sparse
-  /// over the batch's union frontier, the tail dense (optionally
-  /// partition-parallel via options.task_runner).  Vector b of the returned
-  /// block is bitwise-identical to RunT(graph, {seeds[b]}, options).scores —
-  /// each seed's accumulation stops at exactly the iteration where its own
-  /// scalar run would have converged, and the blocked kernels reproduce the
-  /// scalar arithmetic per vector (see CsrMatrixT::SpMm*).  Fails on
-  /// invalid options, an empty batch, or an out-of-range seed.
-  ///
-  /// `contexts`, when non-empty, must align index-for-index with `seeds`
-  /// (null entries allowed).  An aborting seed is dropped from the batch
-  /// through the same per-seed freeze the convergence check uses — it
-  /// stops accumulating while the shared SpMM continues for the others —
-  /// so its vector is bitwise what the aborted scalar run returns; the
-  /// abort is recorded only in its context (a block has no per-vector
-  /// status channel).
-  template <typename V>
-  static StatusOr<la::DenseBlockT<V>> RunBatchT(
-      const Graph& graph, std::span<const NodeId> seeds,
-      const CpiOptions& options, Workspace* workspace = nullptr,
-      std::span<QueryContext* const> contexts = {});
-  static StatusOr<la::DenseBlock> RunBatch(
-      const Graph& graph, std::span<const NodeId> seeds,
-      const CpiOptions& options, Workspace* workspace = nullptr,
-      std::span<QueryContext* const> contexts = {}) {
-    return RunBatchT<double>(graph, seeds, options, workspace, contexts);
   }
 
   /// Single-pass windowed CPI: runs to convergence and returns one partial

@@ -237,53 +237,6 @@ std::vector<float> Tpa::QueryF(NodeId seed) const {
 }
 
 template <typename V>
-StatusOr<la::DenseBlockT<V>> Tpa::QueryBatchT(
-    std::span<const NodeId> seeds,
-    std::span<QueryContext* const> contexts) const {
-  TPA_FAILPOINT("tpa.workspace_checkout");
-  CpiOptions cpi = FamilyCpiOptions();
-  cpi.task_runner = options_.task_runner;
-  WorkspacePool::Lease workspace = workspaces_->Acquire();
-  TPA_ASSIGN_OR_RETURN(
-      la::DenseBlockT<V> block,
-      Cpi::RunBatchT<V>(*graph_, seeds, cpi, workspace.get(), contexts));
-
-  // The same fused merge as QueryPersonalized, blocked:
-  // total = (1 + scale)·family + stranger per vector.
-  la::BlockScale(1.0 + NeighborScale(), block);
-  la::BlockAddVector(1.0, StrangerT<V>(), block);
-  // An aborted seed's family bound propagates through the merge scaled by
-  // (1 + scale); the stranger add is exact, so the scaled bound certifies
-  // the returned vector.
-  for (QueryContext* context : contexts) {
-    if (context != nullptr && context->aborted) {
-      context->error_bound *= 1.0 + NeighborScale();
-    }
-  }
-  return block;
-}
-
-StatusOr<la::DenseBlock> Tpa::QueryBatch(
-    std::span<const NodeId> seeds,
-    std::span<QueryContext* const> contexts) const {
-  if (precision_ == la::Precision::kFloat64) {
-    return QueryBatchT<double>(seeds, contexts);
-  }
-  TPA_ASSIGN_OR_RETURN(la::DenseBlockF block,
-                       QueryBatchT<float>(seeds, contexts));
-  la::DenseBlock wide;
-  la::ConvertBlock(block, wide);
-  return wide;
-}
-
-StatusOr<la::DenseBlockF> Tpa::QueryBatchF(
-    std::span<const NodeId> seeds,
-    std::span<QueryContext* const> contexts) const {
-  TPA_CHECK(precision_ == la::Precision::kFloat32);
-  return QueryBatchT<float>(seeds, contexts);
-}
-
-template <typename V>
 StatusOr<std::vector<V>> Tpa::QueryPersonalizedT(
     const std::vector<NodeId>& seeds, QueryContext* context) const {
   TPA_FAILPOINT("tpa.workspace_checkout");
@@ -298,7 +251,9 @@ StatusOr<std::vector<V>> Tpa::QueryPersonalizedT(
   la::Scale(1.0 + NeighborScale(), total);
   la::Axpy(1.0, StrangerT<V>(), total);
   if (context != nullptr && context->aborted) {
-    // As in QueryBatchT: the family bound through the merge's post-scale.
+    // An aborted family bound propagates through the merge scaled by
+    // (1 + scale); the stranger add is exact, so the scaled bound certifies
+    // the returned vector.
     context->error_bound *= 1.0 + NeighborScale();
   }
   return total;

@@ -2,14 +2,12 @@
 #define TPA_CORE_TPA_H_
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "core/cpi.h"
 #include "core/workspace_pool.h"
 #include "graph/graph.h"
-#include "la/dense_block.h"
 #include "la/precision.h"
 #include "util/query_context.h"
 #include "util/status.h"
@@ -47,10 +45,6 @@ struct TpaOptions {
   /// while full queries — which pay the dense merge regardless — prefer the
   /// 0.125 default.  Results identical at any setting.
   double topk_frontier_density_threshold = 0.002;
-  /// Optional fork-join runner for the dense tail of QueryBatch (forwarded
-  /// to CpiOptions::task_runner; the engine wires its ThreadPool in via
-  /// set_task_runner).  Not owned.
-  la::TaskRunner* task_runner = nullptr;
 };
 
 /// Two Phase Approximation for RWR (the paper's proposed method).
@@ -66,8 +60,8 @@ struct TpaOptions {
 /// The precision tier follows the graph (Graph::value_precision): on an
 /// fp32 graph the stranger tail is precomputed, stored, and every query's
 /// propagation run entirely on fp32 storage — half the bytes end to end.
-/// QueryF / QueryBatchF expose the native fp32 results; the historical
-/// fp64-typed surface (Query, QueryBatch, …) stays available at either tier
+/// QueryF exposes the native fp32 result; the historical fp64-typed
+/// surface (Query, QueryPersonalized, …) stays available at either tier
 /// and widens the fp32 result once at the boundary on an fp32 graph.
 class Tpa {
  public:
@@ -126,28 +120,6 @@ class Tpa {
   StatusOr<TopKQueryResult> QueryTopK(NodeId seed, int k,
                                       const TopKQueryOptions& topk_options,
                                       QueryContext* context) const;
-
-  /// Batched Algorithm 3: one approximate RWR vector per seed, computed for
-  /// the whole batch at once.  The S family iterations run as one SpMM
-  /// chain (a single traversal of the Ã^T CSR arrays per iteration, shared
-  /// by all B seeds) and the Lemma-2 scale + stranger add are blocked
-  /// vector ops — so vector b of the result is bitwise-identical to
-  /// Query(seeds[b]).  Fails on an empty batch or an out-of-range seed.
-  ///
-  /// `contexts`, when non-empty, aligns index-for-index with `seeds` (null
-  /// entries allowed) and gives each seed its own cooperative abort: an
-  /// aborting seed freezes out of the shared SpMM (Cpi::RunBatchT) and its
-  /// context carries the merged partial's certified error bound — already
-  /// through the Lemma-2 post-scale, so it bounds the returned vector.
-  StatusOr<la::DenseBlock> QueryBatch(
-      std::span<const NodeId> seeds,
-      std::span<QueryContext* const> contexts = {}) const;
-
-  /// Native fp32 batch (CHECK-fails unless the graph is fp32); vector b is
-  /// bitwise-identical to QueryF(seeds[b]).
-  StatusOr<la::DenseBlockF> QueryBatchF(
-      std::span<const NodeId> seeds,
-      std::span<QueryContext* const> contexts = {}) const;
 
   /// Personalized-PageRank generalization: approximate RWR for a *set* of
   /// seeds restarted uniformly (Section II-C notes CPI supports seed sets;
@@ -212,13 +184,6 @@ class Tpa {
   /// The graph this instance was preprocessed against (borrowed).
   const Graph& graph() const { return *graph_; }
 
-  /// Installs (or clears) the fork-join runner used by QueryBatch's dense
-  /// tail.  Queries already in flight keep the runner they started with;
-  /// call before serving.
-  void set_task_runner(la::TaskRunner* runner) {
-    options_.task_runner = runner;
-  }
-
   /// The propagation-workspace pool shared by every query against this
   /// preprocessed state: one workspace per *concurrent* query, checked out
   /// per call, warm regardless of which serving thread runs it (exposed so
@@ -245,11 +210,6 @@ class Tpa {
   template <typename V>
   StatusOr<std::vector<V>> QueryPersonalizedT(
       const std::vector<NodeId>& seeds, QueryContext* context = nullptr) const;
-  template <typename V>
-  StatusOr<la::DenseBlockT<V>> QueryBatchT(
-      std::span<const NodeId> seeds,
-      std::span<QueryContext* const> contexts = {}) const;
-
   CpiOptions FamilyCpiOptions() const;
 
   const Graph* graph_;  // not owned

@@ -1,6 +1,5 @@
 #include "engine/async_query_engine.h"
 
-#include <algorithm>
 #include <condition_variable>
 #include <list>
 #include <utility>
@@ -181,11 +180,6 @@ AsyncQueryEngine::AsyncQueryEngine(QueryEngine engine,
       shed_graph_(std::move(shed_graph)),
       shed_engine_(std::move(shed_engine)),
       admission_(std::make_shared<AdmissionState>()) {
-  const bool group_serving = engine_.options().batch_block_size > 1 &&
-                             engine_.method().SupportsBatchQuery();
-  chunk_limit_ = group_serving
-                     ? static_cast<size_t>(engine_.options().batch_block_size)
-                     : 1;
   max_inflight_ =
       options_.max_inflight_jobs > 0
           ? static_cast<size_t>(options_.max_inflight_jobs)
@@ -195,7 +189,15 @@ AsyncQueryEngine::AsyncQueryEngine(QueryEngine engine,
 
 AsyncQueryEngine::~AsyncQueryEngine() { Shutdown(); }
 
-Status AsyncQueryEngine::ValidatePolicy(const DegradationPolicy& policy) {
+Status AsyncQueryEngine::ValidateOptions(
+    const AsyncQueryEngineOptions& options) {
+  if (options.queue_capacity < 1) {
+    return InvalidArgumentError("queue_capacity must be at least 1");
+  }
+  if (options.max_inflight_jobs < 0) {
+    return InvalidArgumentError("max_inflight_jobs must be non-negative");
+  }
+  const DegradationPolicy& policy = options.degradation;
   if (!policy.enabled) {
     if (policy.shed_to_fp32) {
       return InvalidArgumentError("shed_to_fp32 requires degradation.enabled");
@@ -215,13 +217,7 @@ StatusOr<std::unique_ptr<AsyncQueryEngine>> AsyncQueryEngine::Create(
     const Graph& graph, std::unique_ptr<RwrMethod> method,
     const QueryEngineOptions& engine_options,
     const AsyncQueryEngineOptions& async_options) {
-  if (async_options.queue_capacity < 1) {
-    return InvalidArgumentError("queue_capacity must be at least 1");
-  }
-  if (async_options.max_inflight_jobs < 0) {
-    return InvalidArgumentError("max_inflight_jobs must be non-negative");
-  }
-  TPA_RETURN_IF_ERROR(ValidatePolicy(async_options.degradation));
+  TPA_RETURN_IF_ERROR(ValidateOptions(async_options));
   if (async_options.degradation.shed_to_fp32) {
     // The shed tier needs a second instance of the method over the fp32
     // graph; only the registry can manufacture one.
@@ -251,13 +247,7 @@ AsyncQueryEngine::CreateFromRegistry(
     return Create(graph, std::move(method), engine_options, async_options);
   }
 
-  if (async_options.queue_capacity < 1) {
-    return InvalidArgumentError("queue_capacity must be at least 1");
-  }
-  if (async_options.max_inflight_jobs < 0) {
-    return InvalidArgumentError("max_inflight_jobs must be non-negative");
-  }
-  TPA_RETURN_IF_ERROR(ValidatePolicy(async_options.degradation));
+  TPA_RETURN_IF_ERROR(ValidateOptions(async_options));
   if (graph.value_precision() != la::Precision::kFloat64) {
     return InvalidArgumentError(
         "shed_to_fp32 requires an fp64 primary graph — an fp32 engine has "
@@ -280,7 +270,6 @@ AsyncQueryEngine::CreateFromRegistry(
   QueryEngineOptions shed_options;
   shed_options.num_threads = 1;
   shed_options.top_k = engine_options.top_k;
-  shed_options.batch_block_size = 0;
   TPA_ASSIGN_OR_RETURN(QueryEngine shed_engine,
                        QueryEngine::Create(*shed_graph, std::move(shed_method),
                                            shed_options));
@@ -362,27 +351,20 @@ void AsyncQueryEngine::SchedulerLoop() {
     if (adm.queue.empty()) return;  // stopping and fully drained
 
     // The overload sample happens here, at dispatch time under the queue
-    // lock: the depth the dispatch observes (including the tickets it is
-    // about to pop) is what decides whether this chunk runs degraded.
+    // lock: the depth the dispatch observes (including the ticket it is
+    // about to pop) is what decides whether that ticket runs degraded.
     const bool overloaded = IsOverloaded(adm.queue.size());
 
-    // Pop whatever is waiting, up to one SpMM group — arrivals that
-    // accumulated while every job slot was busy coalesce here.
-    std::vector<std::shared_ptr<TicketState>> chunk;
-    chunk.reserve(std::min(adm.queue.size(), chunk_limit_));
-    while (!adm.queue.empty() && chunk.size() < chunk_limit_) {
-      std::shared_ptr<TicketState>& front = adm.queue.front();
-      front->in_queue = false;  // leaving the queue: Cancel must not unlink
-      chunk.push_back(std::move(front));
-      adm.queue.pop_front();
-    }
+    std::shared_ptr<TicketState> ticket = std::move(adm.queue.front());
+    ticket->in_queue = false;  // leaving the queue: Cancel must not unlink
+    adm.queue.pop_front();
     ++adm.inflight;
     lock.unlock();
-    adm.space_cv.notify_all();  // freed queue slots
-    groups_dispatched_.fetch_add(1, std::memory_order_relaxed);
-    seeds_dispatched_.fetch_add(chunk.size(), std::memory_order_relaxed);
-    engine_.pool_->Submit([this, &adm, overloaded, chunk = std::move(chunk)] {
-      ServeChunk(chunk, overloaded);
+    adm.space_cv.notify_one();  // the freed queue slot
+    dispatched_.fetch_add(1, std::memory_order_relaxed);
+    engine_.pool_->Submit([this, &adm, overloaded,
+                           ticket = std::move(ticket)] {
+      ServeTicket(*ticket, overloaded);
       tls_on_serving_thread = false;
       // Notify while holding the lock: once a waiter can observe
       // inflight == 0 it may destroy the engine (Shutdown returns), so
@@ -418,37 +400,30 @@ void AsyncQueryEngine::RecordDeadlineOutcome(bool missed) {
   }
 }
 
-void AsyncQueryEngine::ServeChunk(
-    const std::vector<std::shared_ptr<TicketState>>& chunk, bool overloaded) {
+void AsyncQueryEngine::ServeTicket(TicketState& state, bool overloaded) {
   tls_on_serving_thread = true;
+  if (!state.TryBegin()) {
+    // Cancellation won the race (and already counted itself).
+    return;
+  }
   const DegradationPolicy& policy = options_.degradation;
   const bool degrade = policy.enabled && overloaded;
-  const auto now = std::chrono::steady_clock::now();
-  std::vector<TicketState*> runnable;
-  runnable.reserve(chunk.size());
-  for (const std::shared_ptr<TicketState>& state : chunk) {
-    if (!state->TryBegin()) {
-      // Cancellation won the race (and already counted itself).
-      continue;
-    }
-    // A degrading dispatch never expires a ticket outright: a deadline
-    // that already passed still buys a bounded partial answer below.
-    if (state->has_deadline && state->deadline <= now && !degrade) {
-      state->result.status =
-          DeadlineExceededError("deadline expired before serving began");
-      expired_.fetch_add(1, std::memory_order_relaxed);
-      RecordDeadlineOutcome(/*missed=*/true);
-      Complete(*state, /*served=*/false);
-      continue;
-    }
-    runnable.push_back(state.get());
+  // A degrading dispatch never expires a ticket outright: a deadline that
+  // already passed still buys a bounded partial answer below.
+  if (state.has_deadline && !degrade &&
+      state.deadline <= std::chrono::steady_clock::now()) {
+    state.result.status =
+        DeadlineExceededError("deadline expired before serving began");
+    expired_.fetch_add(1, std::memory_order_relaxed);
+    RecordDeadlineOutcome(/*missed=*/true);
+    Complete(state, /*served=*/false);
+    return;
   }
-  if (runnable.empty()) return;
 
-  // A fault in the serving job itself (before any method runs) fails every
-  // runnable ticket with its own status — each still completes exactly
-  // once, and the engine keeps serving afterwards.
-  const Status chunk_fault = [] {
+  // A fault in the serving job itself (before any method runs) fails the
+  // ticket with its own status — it still completes exactly once, and the
+  // engine keeps serving afterwards.
+  const Status job_fault = [] {
     try {
       TPA_FAILPOINT("engine.serve_chunk");
       return OkStatus();
@@ -458,112 +433,53 @@ void AsyncQueryEngine::ServeChunk(
       return InternalError("serving job threw a non-exception object");
     }
   }();
-  if (!chunk_fault.ok()) {
-    for (TicketState* state : runnable) {
-      state->result.status = chunk_fault;
-      Complete(*state, /*served=*/true);
-    }
+  if (!job_fault.ok()) {
+    state.result.status = job_fault;
+    Complete(state, /*served=*/true);
     return;
   }
 
-  // Every served miss runs under a cooperative context: the ticket's
-  // deadline, its mid-run cancel flag, and — on a degrading dispatch — the
-  // policy's partial-answer contract.
-  const auto make_context = [&](TicketState& state) {
-    QueryContext context;
-    if (state.has_deadline) context.deadline = state.deadline;
-    context.cancel = &state.cancel_requested;
-    if (degrade) {
-      context.degrade_to_partial = true;
-      context.min_iterations = policy.min_iterations;
+  // The query runs under a cooperative context: the ticket's deadline, its
+  // mid-run cancel flag, and — on a degrading dispatch — the policy's
+  // partial-answer contract.
+  QueryContext context;
+  if (state.has_deadline) context.deadline = state.deadline;
+  context.cancel = &state.cancel_requested;
+  if (degrade) {
+    context.degrade_to_partial = true;
+    context.min_iterations = policy.min_iterations;
+  }
+  QueryResult& result = state.result;
+  const NodeId seed = result.seed;
+  if (degrade && shed_engine_.has_value()) {
+    if (seed >= engine_.graph_->num_nodes()) {
+      result.status = OutOfRangeError("seed node out of range");
+    } else if (!engine_.TryServeFromCache(seed, result)) {
+      // An exact cached answer beats a shed one; only true misses pay the
+      // fp32 tier.
+      shed_engine_->ServeInto(seed, result, &context);
+      result.shed_to_fp32 = true;
     }
-    return context;
-  };
+  } else {
+    engine_.ServeInto(seed, result, &context);
+  }
+
   // Post-serve accounting: abort/degrade counters and the deadline-miss
   // EWMA (deadline-bearing tickets only — a miss is any outcome where the
   // converged answer did not arrive in time).
-  const auto account = [&](const QueryContext& context, TicketState& state) {
-    const QueryResult& result = state.result;
-    if (result.shed_to_fp32) shed_.fetch_add(1, std::memory_order_relaxed);
-    if (context.aborted) {
-      (result.degraded ? degraded_ : aborted_)
-          .fetch_add(1, std::memory_order_relaxed);
-    }
-    if (state.has_deadline) {
-      const bool missed =
-          context.aborted
-              ? context.abort_code == StatusCode::kDeadlineExceeded
-              : result.status.code() == StatusCode::kDeadlineExceeded;
-      RecordDeadlineOutcome(missed);
-    }
-  };
-
-  const bool use_shed = degrade && shed_engine_.has_value();
-  const auto serve_one = [&](TicketState& state) {
-    QueryContext context = make_context(state);
-    QueryResult& result = state.result;
-    const NodeId seed = result.seed;
-    if (use_shed) {
-      if (seed >= engine_.graph_->num_nodes()) {
-        result.status = OutOfRangeError("seed node out of range");
-      } else if (!engine_.TryServeFromCache(seed, result)) {
-        // An exact cached answer beats a shed one; only true misses pay
-        // the fp32 tier.
-        shed_engine_->ServeInto(seed, result, &context);
-        result.shed_to_fp32 = true;
-      }
-    } else {
-      engine_.ServeInto(seed, result, &context);
-    }
-    account(context, state);
-    Complete(state, /*served=*/true);
-  };
-
-  // Shedding serves per-seed regardless of the primary engine's grouping:
-  // the shed tier is deliberately group-free (see CreateFromRegistry).
-  if (chunk_limit_ <= 1 || use_shed) {
-    for (TicketState* state : runnable) serve_one(*state);
-    return;
+  if (result.shed_to_fp32) shed_.fetch_add(1, std::memory_order_relaxed);
+  if (context.aborted) {
+    (result.degraded ? degraded_ : aborted_)
+        .fetch_add(1, std::memory_order_relaxed);
   }
-
-  // Mirror QueryBatch's SpMM path: invalid and cached slots complete
-  // per-ticket, the remaining misses run as one multi-vector group — each
-  // miss under its own context, so one aborting ticket freezes out of the
-  // shared SpMM while the rest of the group converges normally.
-  std::vector<TicketState*> misses;
-  std::vector<NodeId> group;
-  for (TicketState* state : runnable) {
-    const NodeId seed = state->result.seed;
-    if (seed >= engine_.graph_->num_nodes()) {
-      state->result.status = OutOfRangeError("seed node out of range");
-      Complete(*state, /*served=*/true);
-      continue;
-    }
-    if (engine_.TryServeFromCache(seed, state->result)) {
-      if (state->has_deadline) RecordDeadlineOutcome(/*missed=*/false);
-      Complete(*state, /*served=*/true);
-      continue;
-    }
-    misses.push_back(state);
-    group.push_back(seed);
+  if (state.has_deadline) {
+    const bool missed =
+        context.aborted
+            ? context.abort_code == StatusCode::kDeadlineExceeded
+            : result.status.code() == StatusCode::kDeadlineExceeded;
+    RecordDeadlineOutcome(missed);
   }
-  if (misses.empty()) return;
-  std::vector<QueryContext> contexts;
-  contexts.reserve(misses.size());
-  for (TicketState* state : misses) contexts.push_back(make_context(*state));
-  std::vector<QueryResult*> slots;
-  std::vector<QueryContext*> context_ptrs;
-  slots.reserve(misses.size());
-  context_ptrs.reserve(misses.size());
-  for (size_t k = 0; k < misses.size(); ++k) {
-    slots.push_back(&misses[k]->result);
-    context_ptrs.push_back(&contexts[k]);
-  }
-  engine_.ServeGroup(group, slots, context_ptrs);
-  for (size_t k = 0; k < misses.size(); ++k) {
-    account(contexts[k], *misses[k]);
-    Complete(*misses[k], /*served=*/true);
-  }
+  Complete(state, /*served=*/true);
 }
 
 void AsyncQueryEngine::Complete(TicketState& state, bool served) {
@@ -599,9 +515,8 @@ AsyncQueryEngine::AsyncStats AsyncQueryEngine::stats() const {
   stats.aborted = aborted_.load(std::memory_order_relaxed);
   stats.degraded = degraded_.load(std::memory_order_relaxed);
   stats.shed = shed_.load(std::memory_order_relaxed);
-  stats.groups_dispatched =
-      groups_dispatched_.load(std::memory_order_relaxed);
-  stats.seeds_dispatched = seeds_dispatched_.load(std::memory_order_relaxed);
+  stats.groups_dispatched = dispatched_.load(std::memory_order_relaxed);
+  stats.seeds_dispatched = stats.groups_dispatched;
   stats.deadline_miss_rate = miss_ewma_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(admission_->mu);
   stats.queue_depth = admission_->queue.size();

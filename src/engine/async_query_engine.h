@@ -10,7 +10,6 @@
 #include <optional>
 #include <string_view>
 #include <thread>
-#include <vector>
 
 #include "engine/query_engine.h"
 #include "method/registry.h"
@@ -74,9 +73,10 @@ struct AsyncQueryEngineOptions {
   size_t queue_capacity = 1024;
   QueueFullPolicy queue_full_policy = QueueFullPolicy::kBlock;
   /// Serving jobs allowed in flight on the pool at once; 0 resolves to the
-  /// pool's thread count.  The scheduler dispatches only when a slot is
-  /// free, so under load tickets accumulate in the queue — which is exactly
-  /// what lets the next dispatch coalesce them into one SpMM group.
+  /// pool's thread count.  Each job serves one ticket, so this caps the
+  /// queries running at once.  The scheduler dispatches only when a slot is
+  /// free, so under load tickets wait in the queue, where a Cancel still
+  /// releases them for free and the degradation watermark sees them.
   int max_inflight_jobs = 0;
   /// Overload response; disabled by default (aborts fail, nothing sheds).
   DegradationPolicy degradation;
@@ -157,15 +157,12 @@ class QueryTicket {
 ///
 /// Submitted tickets enter a bounded FIFO queue; a scheduler thread drains
 /// them into serving jobs on the engine's pool, dispatching only while a
-/// job slot is free (max_inflight_jobs).  When the underlying method
-/// supports native batched queries, each dispatch pops up to
-/// batch_block_size waiting tickets and serves the cache-miss seeds as one
-/// SpMM group — so opportunistic batching emerges from arrival order under
-/// load, without clients pre-batching.  Serving runs the exact same private
-/// QueryEngine paths as Query / QueryBatch, so results are bitwise
-/// identical to the blocking API for the same seeds — at either precision
-/// tier (an engine over an fp32 graph serves fp32 through the async
-/// surface too).
+/// job slot is free (max_inflight_jobs).  Each dispatch pops exactly one
+/// ticket, and the ticket completes as soon as its own query is served.
+/// Serving runs the exact same private QueryEngine path as Query /
+/// QueryBatch, so results are bitwise identical to the blocking API for
+/// the same seeds — at either precision tier (an engine over an fp32 graph
+/// serves fp32 through the async surface too).
 ///
 /// Shutdown (or destruction) stops admissions, then drains: every ticket
 /// already admitted is served to completion before the engine dies.
@@ -229,8 +226,9 @@ class AsyncQueryEngine {
     /// Tickets routed to the fp32 shed tier (DegradationPolicy::
     /// shed_to_fp32).  Subset of completed.
     uint64_t shed = 0;
-    /// Serving jobs dispatched and the tickets they carried — the coalescing
-    /// signal: seeds_dispatched / groups_dispatched is the mean group size.
+    /// Serving jobs dispatched and the tickets they carried.  A job carries
+    /// exactly one ticket, so the two are equal: the mean group size
+    /// seeds_dispatched / groups_dispatched is always 1.
     uint64_t groups_dispatched = 0;
     uint64_t seeds_dispatched = 0;
     /// Tickets currently waiting for dispatch.
@@ -247,9 +245,9 @@ class AsyncQueryEngine {
                    std::unique_ptr<Graph> shed_graph,
                    std::optional<QueryEngine> shed_engine);
 
-  /// Validates a DegradationPolicy (watermark range, min_iterations);
-  /// shared by Create and CreateFromRegistry.
-  static Status ValidatePolicy(const DegradationPolicy& policy);
+  /// Validates the admission options (queue capacity, in-flight jobs, and
+  /// the DegradationPolicy); shared by Create and CreateFromRegistry.
+  static Status ValidateOptions(const AsyncQueryEngineOptions& options);
 
   void SchedulerLoop();
   /// Whether a dispatch observing `queue_depth` waiting tickets should run
@@ -257,16 +255,13 @@ class AsyncQueryEngine {
   bool IsOverloaded(size_t queue_depth) const;
   /// Folds one deadline-bearing completion into the miss-rate EWMA.
   void RecordDeadlineOutcome(bool missed);
-  /// One serving job: claims each ticket (skipping cancelled ones, expiring
-  /// past-deadline ones unless the dispatch degrades), then serves cache
-  /// hits and invalid seeds per slot and the remaining misses per seed or
-  /// as one SpMM group — each miss under a per-ticket QueryContext wiring
-  /// its deadline, its mid-run cancel flag, and the dispatch's degradation
+  /// One serving job: claims the ticket (unless a Cancel won the race),
+  /// expires it when its deadline has passed and the dispatch does not
+  /// degrade, and otherwise serves it under a QueryContext wiring its
+  /// deadline, its mid-run cancel flag, and the dispatch's degradation
   /// decision into the method.  `overloaded` is the scheduler's
   /// dispatch-time watermark sample.
-  void ServeChunk(
-      const std::vector<std::shared_ptr<internal_async::TicketState>>& chunk,
-      bool overloaded);
+  void ServeTicket(internal_async::TicketState& state, bool overloaded);
   /// Marks `state` done with `result`'s current content and fires its
   /// callback; bumps completed_ when `served` is true.
   void Complete(internal_async::TicketState& state, bool served);
@@ -279,9 +274,6 @@ class AsyncQueryEngine {
   /// the cheap overflow path, not a second serving hierarchy.
   std::unique_ptr<Graph> shed_graph_;
   std::optional<QueryEngine> shed_engine_;
-  /// Tickets per dispatch: batch_block_size when the method batches
-  /// natively, else 1.
-  size_t chunk_limit_ = 1;
   size_t max_inflight_ = 1;
 
   /// The queue, its synchronization, and the cancellation / rejection
@@ -303,8 +295,7 @@ class AsyncQueryEngine {
   std::atomic<uint64_t> aborted_{0};
   std::atomic<uint64_t> degraded_{0};
   std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> groups_dispatched_{0};
-  std::atomic<uint64_t> seeds_dispatched_{0};
+  std::atomic<uint64_t> dispatched_{0};
   /// Deadline-miss EWMA (α = 0.05), updated lock-free via CAS at each
   /// deadline-bearing completion.
   std::atomic<double> miss_ewma_{0.0};

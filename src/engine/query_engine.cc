@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "la/vector_ops.h"
-#include "util/cache_info.h"
 #include "util/check.h"
 #include "util/failpoint.h"
 #include "util/memory_budget.h"
@@ -38,35 +37,6 @@ int ResolveThreadCount(int requested) {
   if (requested > 0) return requested;
   const unsigned hardware = std::thread::hardware_concurrency();
   return hardware > 0 ? static_cast<int>(hardware) : 1;
-}
-
-/// The kAuto heuristic: grouped SpMM serving only pays once the shared CSR
-/// traversal is the bottleneck, i.e. the arrays no longer fit the
-/// last-level cache; a cache-resident graph serves faster per-seed thanks
-/// to frontier sparsity (see QueryEngineOptions::batch_block_size).
-/// graph.SizeBytes() reports the materialized bytes, so both cheaper
-/// layouts cross the LLC threshold later than explicit fp64: the fp32 tier
-/// at 8 bytes/nnz, and value-free (ValueStorage::kRowConstant) storage at
-/// ≈4 bytes/nnz — a value-free graph stays on the faster cache-resident
-/// per-seed path up to ~3× the edge count.
-int ResolveBatchBlockSize(int requested, const Graph& graph,
-                          const RwrMethod& method) {
-  if (requested != QueryEngineOptions::kAuto) return requested;
-  if (!method.SupportsBatchQuery()) return 0;
-  if (graph.SizeBytes() <= DetectLastLevelCacheBytes()) return 0;
-  // One group block row per 64-byte cache line: 8 fp64 seeds or 16 fp32
-  // seeds.  The scatter's per-edge cost is one line RMW either way, so the
-  // fp32 tier serves twice the seeds per CSR traversal at the same line
-  // traffic — where its headline SpMM speedup comes from
-  // (BENCH_kernels.json precision rows).  Value storage does not enter
-  // this formula: dropping the value array narrows the *streamed* CSR
-  // bytes per edge (12 → 4 at fp64), but the group width is pinned by the
-  // *scattered* multivector row — width × value bytes must stay one line,
-  // or every edge RMWs multiple lines of y and the amortization inverts
-  // (verified empirically: see BENCH_kernels.json value-free spmm rows,
-  // which peak at the same widths as their explicit twins).
-  return static_cast<int>(64 /
-                          la::PrecisionValueBytes(graph.value_precision()));
 }
 
 template <typename V>
@@ -101,19 +71,7 @@ QueryEngine::QueryEngine(const Graph& graph, std::unique_ptr<RwrMethod> method,
                  ? std::make_unique<ResultCache>(options.cache_capacity,
                                                  options.cache_capacity_bytes)
                  : nullptr),
-      method_mu_(std::make_unique<std::mutex>()) {
-  options_.batch_block_size =
-      ResolveBatchBlockSize(options.batch_block_size, graph, *method_);
-  // Batched queries may partition their dense SpMM sweeps across the same
-  // pool that runs the group jobs (ThreadPool::ParallelFor is re-entrant).
-  // Gate on real parallelism: each destination partition rescans the whole
-  // row set (binary-searching its column sub-ranges), so on a single
-  // hardware thread — or a single-worker pool — the fan-out is pure
-  // overhead.
-  if (pool_->num_threads() > 1 && std::thread::hardware_concurrency() > 1) {
-    method_->SetTaskRunner(pool_.get());
-  }
-}
+      method_mu_(std::make_unique<std::mutex>()) {}
 
 StatusOr<QueryEngine> QueryEngine::Create(const Graph& graph,
                                           std::unique_ptr<RwrMethod> method,
@@ -126,11 +84,6 @@ StatusOr<QueryEngine> QueryEngine::Create(const Graph& graph,
   }
   if (options.top_k < 0) {
     return InvalidArgumentError("top_k must be non-negative");
-  }
-  if (options.batch_block_size < 0 &&
-      options.batch_block_size != QueryEngineOptions::kAuto) {
-    return InvalidArgumentError(
-        "batch_block_size must be non-negative or kAuto");
   }
   if (!method->SupportsPrecision(graph.value_precision())) {
     return InvalidArgumentError(
@@ -164,27 +117,6 @@ bool QueryEngine::EntryCompatible(const CachedResult& entry) const {
     return entry.topk.size() >= need;
   }
   return true;
-}
-
-void QueryEngine::ShapeFromEntry(const ResultCache::Entry& entry,
-                                 QueryResult& result) {
-  result.from_cache = true;
-  if (options_.top_k > 0) {
-    if (entry->topk_only) {
-      const size_t k = std::min<size_t>(static_cast<size_t>(options_.top_k),
-                                        entry->topk.size());
-      result.top.assign(entry->topk.begin(),
-                        entry->topk.begin() + static_cast<long>(k));
-    } else if (precision_ == la::Precision::kFloat64) {
-      result.top = TopKScores(entry->dense64, options_.top_k);
-    } else {
-      result.top = TopKScores(entry->dense32, options_.top_k);
-    }
-  } else if (precision_ == la::Precision::kFloat64) {
-    result.scores = entry->dense64;
-  } else {
-    result.scores_f32 = entry->dense32;
-  }
 }
 
 bool QueryEngine::UseNativeTopKPath() const {
@@ -227,7 +159,23 @@ bool QueryEngine::TryServeFromCache(NodeId seed, QueryResult& result) {
         return EntryCompatible(entry);
       });
   if (hit == nullptr) return false;
-  ShapeFromEntry(hit, result);
+  result.from_cache = true;
+  if (options_.top_k > 0) {
+    if (hit->topk_only) {
+      const size_t k = std::min<size_t>(static_cast<size_t>(options_.top_k),
+                                        hit->topk.size());
+      result.top.assign(hit->topk.begin(),
+                        hit->topk.begin() + static_cast<long>(k));
+    } else if (precision_ == la::Precision::kFloat64) {
+      result.top = TopKScores(hit->dense64, options_.top_k);
+    } else {
+      result.top = TopKScores(hit->dense32, options_.top_k);
+    }
+  } else if (precision_ == la::Precision::kFloat64) {
+    result.scores = hit->dense64;
+  } else {
+    result.scores_f32 = hit->dense32;
+  }
   return true;
 }
 
@@ -355,99 +303,6 @@ void QueryEngine::ServeInto(NodeId seed, QueryResult& result,
   ShapeAndCacheT<double>(seed, std::move(dense), result, cacheable);
 }
 
-namespace {
-
-/// Fans an SpMM result block back into per-seed dense vectors in one pass
-/// over the block rows (per-vector ExtractVector would re-stream the whole
-/// n×B block B times), translating internal→external row positions on the
-/// fly when the graph is reordered.
-template <typename V>
-std::vector<std::vector<V>> FanOutBlock(const la::DenseBlockT<V>& block,
-                                        const Permutation* permutation) {
-  const size_t rows = block.rows();
-  const size_t num_vectors = block.num_vectors();
-  std::vector<std::vector<V>> dense(num_vectors, std::vector<V>(rows));
-  for (size_t r = 0; r < rows; ++r) {
-    const V* row = block.RowPtr(r);
-    const size_t e = permutation != nullptr
-                         ? permutation->ToExternal(static_cast<NodeId>(r))
-                         : r;
-    for (size_t b = 0; b < num_vectors; ++b) dense[b][e] = row[b];
-  }
-  return dense;
-}
-
-}  // namespace
-
-void QueryEngine::ServeGroup(const std::vector<NodeId>& group,
-                             const std::vector<QueryResult*>& slots,
-                             std::span<QueryContext* const> contexts) {
-  const auto context_for = [&contexts](size_t k) {
-    return contexts.empty() ? nullptr : contexts[k];
-  };
-  if (UseNativeTopKPath()) {
-    // Bound-driven top-k queries never materialize dense vectors, so there
-    // is no SpMM block to share across the group; each slot runs the native
-    // path (this also covers the async engine's grouped chunks).
-    for (size_t k = 0; k < slots.size(); ++k) {
-      ServeTopKInto(group[k], *slots[k], context_for(k));
-    }
-    return;
-  }
-
-  const Permutation* permutation = graph_->permutation();
-  std::vector<NodeId> internal_group;
-  const std::vector<NodeId>* method_group = &group;
-  if (permutation != nullptr) {
-    internal_group.reserve(group.size());
-    for (NodeId seed : group) {
-      internal_group.push_back(permutation->ToInternal(seed));
-    }
-    method_group = &internal_group;
-  }
-
-  if (precision_ == la::Precision::kFloat32) {
-    StatusOr<la::DenseBlockF> block = InvokeMethodGuarded([&] {
-      if (method_->SupportsConcurrentQuery()) {
-        return method_->QueryBatchDenseF32(*method_group, contexts);
-      }
-      std::lock_guard<std::mutex> lock(*method_mu_);
-      return method_->QueryBatchDenseF32(*method_group, contexts);
-    });
-    if (!block.ok()) {
-      for (QueryResult* slot : slots) slot->status = block.status();
-      return;
-    }
-    std::vector<std::vector<float>> dense = FanOutBlock(*block, permutation);
-    for (size_t k = 0; k < slots.size(); ++k) {
-      const bool cacheable = FinalizeAbort(context_for(k), *slots[k]);
-      if (!slots[k]->status.ok()) continue;
-      ShapeAndCacheT<float>(group[k], std::move(dense[k]), *slots[k],
-                            cacheable);
-    }
-    return;
-  }
-
-  StatusOr<la::DenseBlock> block = InvokeMethodGuarded([&] {
-    if (method_->SupportsConcurrentQuery()) {
-      return method_->QueryBatchDense(*method_group, contexts);
-    }
-    std::lock_guard<std::mutex> lock(*method_mu_);
-    return method_->QueryBatchDense(*method_group, contexts);
-  });
-  if (!block.ok()) {
-    for (QueryResult* slot : slots) slot->status = block.status();
-    return;
-  }
-  std::vector<std::vector<double>> dense = FanOutBlock(*block, permutation);
-  for (size_t k = 0; k < slots.size(); ++k) {
-    const bool cacheable = FinalizeAbort(context_for(k), *slots[k]);
-    if (!slots[k]->status.ok()) continue;
-    ShapeAndCacheT<double>(group[k], std::move(dense[k]), *slots[k],
-                           cacheable);
-  }
-}
-
 QueryResult QueryEngine::Query(NodeId seed) {
   QueryResult result;
   ServeInto(seed, result);
@@ -459,74 +314,13 @@ std::vector<QueryResult> QueryEngine::QueryBatch(
   std::vector<QueryResult> results(seeds.size());
   if (seeds.empty()) return results;
 
-  if (options_.batch_block_size <= 1 || !method_->SupportsBatchQuery()) {
-    // Per-seed fan-out: one pool job per seed.
-    std::latch pending(static_cast<ptrdiff_t>(seeds.size()));
-    for (size_t i = 0; i < seeds.size(); ++i) {
-      pool_->Submit([this, &seeds, &results, &pending, i] {
-        ServeInto(seeds[i], results[i]);
-        pending.count_down();
-      });
-    }
-    pending.wait();
-    return results;
-  }
-
-  // SpMM group path.  The calling thread resolves each slot's fate first —
-  // invalid seed, cache hit, or miss — so misses can be partitioned into
-  // multi-vector groups.  Hits are shaped on the pool (top-k extraction is
-  // a partial sort over n) alongside the group jobs.
-  struct PendingHit {
-    size_t slot;
-    ResultCache::Entry entry;
-  };
-  std::vector<PendingHit> hits;
-  std::vector<size_t> misses;
+  std::latch pending(static_cast<ptrdiff_t>(seeds.size()));
   for (size_t i = 0; i < seeds.size(); ++i) {
-    results[i].seed = seeds[i];
-    if (seeds[i] >= graph_->num_nodes()) {
-      results[i].status = OutOfRangeError("seed node out of range");
-      continue;
-    }
-    if (cache_ != nullptr) {
-      if (ResultCache::Entry entry = cache_->GetMatching(
-              seeds[i], [this](const CachedResult& e) {
-                return EntryCompatible(e);
-              })) {
-        hits.push_back({i, std::move(entry)});
-        continue;
-      }
-    }
-    misses.push_back(i);
-  }
-
-  const size_t block = static_cast<size_t>(options_.batch_block_size);
-  const size_t num_groups = (misses.size() + block - 1) / block;
-  std::latch pending(static_cast<ptrdiff_t>(hits.size() + num_groups));
-
-  for (size_t h = 0; h < hits.size(); ++h) {
-    pool_->Submit([this, &results, &hits, &pending, h] {
-      ShapeFromEntry(hits[h].entry, results[hits[h].slot]);
+    pool_->Submit([this, &seeds, &results, &pending, i] {
+      ServeInto(seeds[i], results[i]);
       pending.count_down();
     });
   }
-
-  for (size_t begin = 0; begin < misses.size(); begin += block) {
-    pool_->Submit([this, &seeds, &results, &misses, &pending, begin, block] {
-      const size_t end = std::min(begin + block, misses.size());
-      std::vector<NodeId> group;
-      std::vector<QueryResult*> slots;
-      group.reserve(end - begin);
-      slots.reserve(end - begin);
-      for (size_t k = begin; k < end; ++k) {
-        group.push_back(seeds[misses[k]]);
-        slots.push_back(&results[misses[k]]);
-      }
-      ServeGroup(group, slots);
-      pending.count_down();
-    });
-  }
-
   pending.wait();
   return results;
 }

@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string_view>
 #include <vector>
 
@@ -43,37 +42,6 @@ struct QueryEngineOptions {
   /// vector: it misses and refreshes the entry to the dense shape (see
   /// CachedResult).  Ignored when top_k == 0.
   bool cache_topk_only = false;
-  /// Seeds per SpMM group when the method supports native batched queries
-  /// (RwrMethod::SupportsBatchQuery): cache-miss seeds of a QueryBatch are
-  /// served in groups of this size through QueryBatchDense — one shared
-  /// CSR traversal per group instead of one per seed.  Results are bitwise
-  /// identical either way; this is purely a throughput knob.  Grouping
-  /// pays off when the shared traversal is the bottleneck — CSR arrays
-  /// much larger than the last-level cache, or many cores contending for
-  /// memory bandwidth; when the graph is cache-resident, per-seed fan-out
-  /// exploits frontier sparsity (early CPI iterations touch few rows) that
-  /// a shared sweep over the union frontier gives up.
-  ///
-  /// kAuto (the default) picks at Create time from exactly that trade-off:
-  /// when the graph's CSR bytes exceed the detected last-level cache,
-  /// groups sized so one block row fills a 64-byte cache line — 8 seeds at
-  /// fp64, 16 at fp32 (the scatter pays one line per edge either way, so
-  /// the fp32 tier shares each traversal across twice the seeds) — and
-  /// per-seed fan-out otherwise.  The CSR bytes are the *actual
-  /// materialized* bytes, so the cheaper layouts cross the threshold
-  /// later than explicit fp64 (12 bytes/nnz): fp32 at 8, and value-free
-  /// (ValueStorage::kRowConstant) at ≈4 — a value-free graph stays on the
-  /// cache-resident per-seed path up to ~3× the edge count.  Value
-  /// storage does not change the group width, only the threshold: the
-  /// width is pinned by the scattered block row filling one line, not by
-  /// the streamed CSR bytes.  Explicit
-  /// values are the escape hatch: 0 or 1 forces per-seed fan-out, ≥ 2
-  /// forces that group size.  The resolved value is visible through
-  /// options().  `bench_engine_throughput` measures both paths.
-  int batch_block_size = kAuto;
-
-  /// Sentinel for batch_block_size: resolve from graph size vs LLC size.
-  static constexpr int kAuto = -1;
 };
 
 /// Outcome of a single seed query within a batch.
@@ -131,15 +99,10 @@ struct QueryResult {
 /// bit-for-bit the historical pipeline.  The two tiers never serve each
 /// other's cache entries (see CachedResult).
 ///
-/// `QueryBatch` is batch-first: when the method supports native batched
-/// queries (SupportsBatchQuery), cache-miss seeds are partitioned into
-/// SpMM groups of `batch_block_size` and each group runs the method's
-/// multi-vector path as one pool job — a single traversal of the CSR
-/// arrays shared by the whole group — before results fan back into
-/// per-seed slots with the same cache/top-k behavior as individual
-/// queries.  Other methods fan each seed out individually across the
-/// pool.  Methods that declare SupportsConcurrentQuery() run fully
-/// parallel; stateful methods (Monte Carlo RNGs) are serialized
+/// `QueryBatch` fans the seeds out across the pool, one job per seed: each
+/// job answers exactly one seed with the same cache/top-k behavior as an
+/// individual Query.  Methods that declare SupportsConcurrentQuery() run
+/// fully parallel; stateful methods (Monte Carlo RNGs) are serialized
 /// internally, still overlapping cache lookups and result extraction.
 ///
 /// The engine borrows the graph (it must outlive the engine) and owns the
@@ -191,8 +154,8 @@ class QueryEngine {
 
  private:
   /// The async serving layer reuses this engine's private serving paths
-  /// (ServeInto / ServeGroup / TryServeFromCache) verbatim, which is what
-  /// keeps async results bitwise-identical to Query / QueryBatch.
+  /// (ServeInto / TryServeFromCache) verbatim, which is what keeps async
+  /// results bitwise-identical to Query / QueryBatch.
   friend class AsyncQueryEngine;
 
   QueryEngine(const Graph& graph, std::unique_ptr<RwrMethod> method,
@@ -233,14 +196,9 @@ class QueryEngine {
   /// cover.
   bool EntryCompatible(const CachedResult& entry) const;
 
-  /// Shapes a cache entry into `result` (top-k or dense copy, sets
-  /// from_cache) — the one hit-serving path for both the per-seed and the
-  /// SpMM-group flows.  The entry must be EntryCompatible.
-  void ShapeFromEntry(const ResultCache::Entry& entry, QueryResult& result);
-
-  /// Cache probe; on a compatible hit, shapes the entry into `result` and
-  /// returns true.  A mismatched entry counts as a miss (and is refreshed
-  /// by the subsequent insert).
+  /// Cache probe; on a compatible hit, shapes the entry into `result` (top-k
+  /// or dense copy, sets from_cache) and returns true.  A mismatched entry
+  /// counts as a miss (and is refreshed by the subsequent insert).
   bool TryServeFromCache(NodeId seed, QueryResult& result);
 
   /// Applies a context's abort outcome to a served result.  No-op (returns
@@ -259,17 +217,6 @@ class QueryEngine {
   template <typename V>
   void ShapeAndCacheT(NodeId seed, std::vector<V> dense, QueryResult& result,
                       bool cacheable = true);
-
-  /// Serves one SpMM group: runs QueryBatchDense (or the fp32 flavor) for
-  /// `group` (locking for non-concurrent methods) and fans the block back
-  /// into the result slots `slots[k]` ← vector k.  On failure every slot
-  /// gets the group status.  `contexts`, when non-empty, aligns with
-  /// `group`: an aborting seed is frozen out of the shared SpMM (identical
-  /// to aborting a scalar run) and its slot fails or degrades per
-  /// FinalizeAbort while the rest of the group completes normally.
-  void ServeGroup(const std::vector<NodeId>& group,
-                  const std::vector<QueryResult*>& slots,
-                  std::span<QueryContext* const> contexts = {});
 
   const Graph* graph_;  // not owned
   QueryEngineOptions options_;

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -11,7 +10,6 @@
 #include "graph/permutation.h"
 #include "la/csr_matrix.h"
 #include "la/precision.h"
-#include "la/task_runner.h"
 
 namespace tpa {
 
@@ -203,72 +201,6 @@ class Graph {
     MultiplyTransposePullT<double>(x, y);
   }
 
-  /// Y = Ã^T X for a whole block of vectors in one sweep over the out-edge
-  /// CSR arrays; vector b of Y is bitwise-identical to MultiplyTranspose on
-  /// vector b of X (see CsrMatrixT::SpMmTranspose).
-  template <typename V>
-  void MultiplyTransposeBlockT(const la::DenseBlockT<V>& x,
-                               la::DenseBlockT<V>& y) const {
-    TransitionT<V>().SpMmTranspose(x, y);
-  }
-  void MultiplyTransposeBlock(const la::DenseBlock& x,
-                              la::DenseBlock& y) const {
-    MultiplyTransposeBlockT<double>(x, y);
-  }
-
-  /// Pull-flavor block product over the in-edge CSR arrays; per-vector
-  /// bitwise match of MultiplyTransposePull.
-  template <typename V>
-  void MultiplyTransposePullBlockT(const la::DenseBlockT<V>& x,
-                                   la::DenseBlockT<V>& y) const {
-    TransitionTransposeT<V>().SpMm(x, y);
-  }
-  void MultiplyTransposePullBlock(const la::DenseBlock& x,
-                                  la::DenseBlock& y) const {
-    MultiplyTransposePullBlockT<double>(x, y);
-  }
-
-  /// Parallel y = Ã^T x: the scatter partitioned by destination range and
-  /// dispatched on `runner`.  Each destination is owned by exactly one
-  /// partition, so the result is bitwise-identical to MultiplyTranspose
-  /// regardless of scheduling.  The nnz-balanced partition is computed once
-  /// per (graph, parts) pair and cached.
-  template <typename V>
-  void MultiplyTransposeParallelT(const std::vector<V>& x, std::vector<V>& y,
-                                  la::TaskRunner& runner) const {
-    TransitionT<V>().SpMvTransposeParallel(
-        x, y, OutColumnPartition(static_cast<size_t>(runner.concurrency())),
-        runner);
-  }
-  void MultiplyTransposeParallel(const std::vector<double>& x,
-                                 std::vector<double>& y,
-                                 la::TaskRunner& runner) const {
-    MultiplyTransposeParallelT<double>(x, y, runner);
-  }
-
-  /// Parallel block flavor; per-vector bitwise match of
-  /// MultiplyTransposeBlock — the engine's intra-group parallel SpMM.
-  template <typename V>
-  void MultiplyTransposeBlockParallelT(const la::DenseBlockT<V>& x,
-                                       la::DenseBlockT<V>& y,
-                                       la::TaskRunner& runner) const {
-    TransitionT<V>().SpMmTransposeParallel(
-        x, y, OutColumnPartition(static_cast<size_t>(runner.concurrency())),
-        runner);
-  }
-  void MultiplyTransposeBlockParallel(const la::DenseBlock& x,
-                                      la::DenseBlock& y,
-                                      la::TaskRunner& runner) const {
-    MultiplyTransposeBlockParallelT<double>(x, y, runner);
-  }
-
-  /// The nnz-balanced destination partition of the out-CSR for `parts`
-  /// ranges, built lazily and cached (thread-safe).  Purely structural, so
-  /// the same partition serves both precision tiers — and the cache itself
-  /// is shared between structure-sharing graphs (RematerializeWithPrecision
-  /// siblings reuse partitions computed by either side).
-  std::span<const uint32_t> OutColumnPartition(size_t parts) const;
-
   /// The external↔internal node-id mapping applied by GraphBuilder when a
   /// locality ordering was requested; null when nodes are stored in their
   /// original order.  Serving layers translate at this boundary — see
@@ -280,9 +212,9 @@ class Graph {
     permutation_ = std::move(permutation);
   }
 
-  /// Logical bytes held by this graph (experiment reporting and the
-  /// engine's kAuto batch heuristic): each direction's index structure
-  /// counted once, plus the value/scale arrays of every materialized tier.
+  /// Logical bytes held by this graph (experiment and benchmark
+  /// reporting): each direction's index structure counted once, plus the
+  /// value/scale arrays of every materialized tier.
   /// Under kRowConstant the per-tier addition is O(n) scale bytes instead
   /// of O(nnz) values — the footprint the value-free hot loops actually
   /// stream.  Structure-sharing sibling graphs each report the full
@@ -297,14 +229,6 @@ class Graph {
   }
 
  private:
-  /// Lazily built destination partitions keyed by part count (small: one
-  /// entry per distinct ThreadPool size that served this graph).  Shared
-  /// between structure-sharing graphs, hence behind a shared_ptr.
-  struct PartitionCache {
-    std::mutex mu;
-    std::vector<std::pair<size_t, std::vector<uint32_t>>> entries;
-  };
-
   /// Shared-structure sibling at another tier (RematerializeWithPrecision).
   Graph(const Graph& other, la::Precision tier);
   friend Graph RematerializeWithPrecision(const Graph& graph,
@@ -332,16 +256,14 @@ class Graph {
   la::CsrMatrixF out_csr_f_;
   la::CsrMatrixF in_csr_f_;
   std::shared_ptr<const Permutation> permutation_;  // null = original order
-  std::shared_ptr<PartitionCache> partition_cache_;
 };
 
 /// Re-materializes `graph` at the other precision tier: a sibling Graph
 /// whose primary tier is `precision` and whose index structure *aliases*
 /// the input's (shared_ptr topology — no O(nnz) copy; only the new tier's
-/// value arrays are built).  The permutation and the partition cache are
-/// shared too.  Used by benchmarks and tests to compare tiers on identical
-/// graphs, and by servers that load a graph once and serve both tiers off
-/// one topology.
+/// value arrays are built).  The permutation is shared too.  Used by
+/// benchmarks and tests to compare tiers on identical graphs, and by
+/// servers that load a graph once and serve both tiers off one topology.
 Graph RematerializeWithPrecision(const Graph& graph, la::Precision precision);
 
 }  // namespace tpa

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "la/width_dispatch.h"
 #include "util/check.h"
 
 namespace tpa::la {
@@ -147,7 +146,7 @@ void DispatchVals(CsrValueMode mode, const SharedArray<V>& values,
 }
 
 /// Prefetch distance for the dense kernels' random-access operand (the
-/// gathered x row / scattered y row).  The column-index stream names each
+/// gathered x entry / scattered y entry).  The column-index stream names each
 /// destination this many edges in advance; issuing the prefetch there hides
 /// the L2-missing latency that otherwise dominates once the vector operand
 /// outgrows L2 — and is what the kernels' per-edge cost is mostly made of on
@@ -156,14 +155,14 @@ void DispatchVals(CsrValueMode mode, const SharedArray<V>& values,
 constexpr uint64_t kPrefetchDistance = 16;
 
 /// Full gather of one row in SpMv's accumulation order: fp64 sum over the
-/// row's edges.  Shared by the dense gather, the block-width-1 case, and
-/// the frontier gather head (whose bitwise contract is exactly "this row,
-/// computed as the dense kernel computes it").  `prefetch_nnz` bounds a
-/// look-ahead prefetch of x[indices[e + kPrefetchDistance]] — the dense
-/// caller passes the matrix nnz (the global edge stream is contiguous
-/// across rows, so the look-ahead lands in rows about to be gathered); the
-/// frontier caller passes 0 (disabled: its candidate rows are sparse, so
-/// edges past the row end belong to rows that may never be visited).
+/// row's edges.  Shared by the dense gather and the frontier gather head
+/// (whose bitwise contract is exactly "this row, computed as the dense
+/// kernel computes it").  `prefetch_nnz` bounds a look-ahead prefetch of
+/// x[indices[e + kPrefetchDistance]] — the dense caller passes the matrix
+/// nnz (the global edge stream is contiguous across rows, so the look-ahead
+/// lands in rows about to be gathered); the frontier caller passes 0
+/// (disabled: its candidate rows are sparse, so edges past the row end
+/// belong to rows that may never be visited).
 template <typename V, typename Vals>
 double GatherRow(const uint64_t* offsets, const uint32_t* indices, Vals vals,
                  const V* x, uint32_t r, uint64_t prefetch_nnz = 0) {
@@ -191,6 +190,8 @@ double GatherRow(const uint64_t* offsets, const uint32_t* indices, Vals vals,
   return sum;
 }
 
+/// Dense gather: each row is an fp64 sum over its edges, rounded to V once
+/// on store.
 template <typename V, typename Vals>
 void SpMvLoop(const uint64_t* offsets, const uint32_t* indices, Vals vals,
               uint32_t rows, uint64_t nnz, const V* x, V* y) {
@@ -203,9 +204,8 @@ template <typename V, typename Vals>
 void SpMvTransposeLoop(const uint64_t* offsets, const uint32_t* indices,
                        Vals vals, uint32_t rows, uint64_t nnz, const V* x,
                        V* y) {
-  // Same destination look-ahead as the block scatter (SpMmTransposeRows):
-  // the upcoming y lines are named by the index stream, and prefetching
-  // them is what keeps the loop bandwidth-bound instead of latency-bound.
+  // The upcoming y lines are named by the index stream; prefetching them
+  // is what keeps the loop bandwidth-bound instead of latency-bound.
   for (uint32_t r = 0; r < rows; ++r) {
     const V xr = x[r];
     if (xr == V{0}) continue;
@@ -226,172 +226,6 @@ void SpMvTransposeLoop(const uint64_t* offsets, const uint32_t* indices,
           __builtin_prefetch(&y[indices[e + kPrefetchDistance]], 1);
         }
         y[indices[e]] += vals.Edge(e, indices[e]) * xr;
-      }
-    }
-  }
-}
-
-/// The SpMM inner loops are specialized on the block width so the per-edge
-/// update over B right-hand sides unrolls and vectorizes — with a runtime
-/// bound the compiler keeps a loop (and an alias check) on the hottest
-/// three instructions of the library.  Widths up to 16 cover every group
-/// size the engine dispatches by default; wider blocks fall back to the
-/// runtime loop.  Gathers accumulate in fp64 and round once on store;
-/// scatters update in native V (see the class comment for the tiered
-/// arithmetic contract).
-template <size_t kWidth, typename V, typename Vals>
-void SpMmRows(const uint64_t* offsets, const uint32_t* indices, Vals vals,
-              uint32_t rows, uint64_t nnz, const DenseBlockT<V>& x,
-              DenseBlockT<V>& y) {
-  // The row accumulators are fp64 (a local register block), rounded to V
-  // once on store — exactly SpMv's per-row accumulation, which is what
-  // keeps vector b of the block bitwise-identical to the scalar kernel at
-  // the fp32 tier too.  For V = double the store casts are no-ops and the
-  // arithmetic is unchanged.
-  for (uint32_t r = 0; r < rows; ++r) {
-    double sums[kWidth];
-    for (size_t b = 0; b < kWidth; ++b) sums[b] = 0.0;
-    const uint64_t begin = offsets[r];
-    const uint64_t end = offsets[r + 1];
-    if constexpr (Vals::kRowConstantWeight) {
-      if (begin != end) {
-        const double w = static_cast<double>(vals.Row(r));
-        for (uint64_t e = begin; e < end; ++e) {
-          if (e + kPrefetchDistance < nnz) {
-            __builtin_prefetch(x.RowPtr(indices[e + kPrefetchDistance]), 0);
-          }
-          const V* __restrict xr = x.RowPtr(indices[e]);
-          for (size_t b = 0; b < kWidth; ++b) {
-            sums[b] += w * static_cast<double>(xr[b]);
-          }
-        }
-      }
-    } else {
-      for (uint64_t e = begin; e < end; ++e) {
-        if (e + kPrefetchDistance < nnz) {
-          __builtin_prefetch(x.RowPtr(indices[e + kPrefetchDistance]), 0);
-        }
-        const double w = vals.Edge(e, indices[e]);
-        const V* __restrict xr = x.RowPtr(indices[e]);
-        for (size_t b = 0; b < kWidth; ++b) {
-          sums[b] += w * static_cast<double>(xr[b]);
-        }
-      }
-    }
-    V* __restrict out = y.RowPtr(r);
-    for (size_t b = 0; b < kWidth; ++b) out[b] = static_cast<V>(sums[b]);
-  }
-}
-
-template <typename V, typename Vals>
-void SpMmRowsGeneric(const uint64_t* offsets, const uint32_t* indices,
-                     Vals vals, uint32_t rows, uint64_t nnz,
-                     size_t num_vectors, const DenseBlockT<V>& x,
-                     DenseBlockT<V>& y, std::vector<double>& sums) {
-  sums.resize(num_vectors);
-  for (uint32_t r = 0; r < rows; ++r) {
-    for (size_t b = 0; b < num_vectors; ++b) sums[b] = 0.0;
-    const uint64_t begin = offsets[r];
-    const uint64_t end = offsets[r + 1];
-    if constexpr (Vals::kRowConstantWeight) {
-      if (begin != end) {
-        const double w = static_cast<double>(vals.Row(r));
-        for (uint64_t e = begin; e < end; ++e) {
-          if (e + kPrefetchDistance < nnz) {
-            __builtin_prefetch(x.RowPtr(indices[e + kPrefetchDistance]), 0);
-          }
-          const V* __restrict xr = x.RowPtr(indices[e]);
-          for (size_t b = 0; b < num_vectors; ++b) {
-            sums[b] += w * static_cast<double>(xr[b]);
-          }
-        }
-      }
-    } else {
-      for (uint64_t e = begin; e < end; ++e) {
-        if (e + kPrefetchDistance < nnz) {
-          __builtin_prefetch(x.RowPtr(indices[e + kPrefetchDistance]), 0);
-        }
-        const double w = vals.Edge(e, indices[e]);
-        const V* __restrict xr = x.RowPtr(indices[e]);
-        for (size_t b = 0; b < num_vectors; ++b) {
-          sums[b] += w * static_cast<double>(xr[b]);
-        }
-      }
-    }
-    V* __restrict out = y.RowPtr(r);
-    for (size_t b = 0; b < num_vectors; ++b) out[b] = static_cast<V>(sums[b]);
-  }
-}
-
-template <size_t kWidth, typename V, typename Vals>
-void SpMmTransposeRows(const uint64_t* offsets, const uint32_t* indices,
-                       Vals vals, uint32_t rows, uint64_t nnz,
-                       const DenseBlockT<V>& x, DenseBlockT<V>& y) {
-  // The scatter destinations are known kPrefetch edges ahead from the
-  // column-index stream; prefetching them hides the block-row fetch
-  // latency that dominates once the n×B output outgrows L2 (a B-wide block
-  // row is up to two cache lines, vs one eighth of a line for scalar
-  // SpMvTranspose).
-  constexpr uint64_t kPrefetch = kPrefetchDistance;
-  for (uint32_t r = 0; r < rows; ++r) {
-    const V* __restrict xr = x.RowPtr(r);
-    bool any_nonzero = false;
-    for (size_t b = 0; b < kWidth; ++b) any_nonzero |= (xr[b] != V{0});
-    if (!any_nonzero) continue;
-    const uint64_t begin = offsets[r];
-    const uint64_t end = offsets[r + 1];
-    if constexpr (Vals::kRowConstantWeight) {
-      if (begin == end) continue;
-      // Hoist the per-row products: the inner loop is then a pure
-      // index-streamed add — no value load, no multiply.
-      V p[kWidth];
-      const V w = vals.Row(r);
-      for (size_t b = 0; b < kWidth; ++b) p[b] = w * xr[b];
-      for (uint64_t e = begin; e < end; ++e) {
-        if (e + kPrefetch < nnz) {
-          __builtin_prefetch(y.RowPtr(indices[e + kPrefetch]), 1);
-        }
-        V* __restrict yr = y.RowPtr(indices[e]);
-        for (size_t b = 0; b < kWidth; ++b) yr[b] += p[b];
-      }
-    } else {
-      for (uint64_t e = begin; e < end; ++e) {
-        if (e + kPrefetch < nnz) {
-          __builtin_prefetch(y.RowPtr(indices[e + kPrefetch]), 1);
-        }
-        const V w = vals.Edge(e, indices[e]);
-        V* __restrict yr = y.RowPtr(indices[e]);
-        for (size_t b = 0; b < kWidth; ++b) yr[b] += w * xr[b];
-      }
-    }
-  }
-}
-
-template <typename V, typename Vals>
-void SpMmTransposeRowsGeneric(const uint64_t* offsets, const uint32_t* indices,
-                              Vals vals, uint32_t rows, size_t num_vectors,
-                              const DenseBlockT<V>& x, DenseBlockT<V>& y) {
-  std::vector<V> p(num_vectors);
-  for (uint32_t r = 0; r < rows; ++r) {
-    const V* __restrict xr = x.RowPtr(r);
-    bool any_nonzero = false;
-    for (size_t b = 0; b < num_vectors; ++b) any_nonzero |= (xr[b] != V{0});
-    if (!any_nonzero) continue;
-    const uint64_t begin = offsets[r];
-    const uint64_t end = offsets[r + 1];
-    if constexpr (Vals::kRowConstantWeight) {
-      if (begin == end) continue;
-      const V w = vals.Row(r);
-      for (size_t b = 0; b < num_vectors; ++b) p[b] = w * xr[b];
-      for (uint64_t e = begin; e < end; ++e) {
-        V* __restrict yr = y.RowPtr(indices[e]);
-        for (size_t b = 0; b < num_vectors; ++b) yr[b] += p[b];
-      }
-    } else {
-      for (uint64_t e = begin; e < end; ++e) {
-        const V w = vals.Edge(e, indices[e]);
-        V* __restrict yr = y.RowPtr(indices[e]);
-        for (size_t b = 0; b < num_vectors; ++b) yr[b] += w * xr[b];
       }
     }
   }
@@ -501,303 +335,6 @@ void CsrMatrixT<V>::SpMvTranspose(const std::vector<V>& x,
 }
 
 template <typename V>
-void CsrMatrixT<V>::SpMm(const DenseBlockT<V>& x, DenseBlockT<V>& y) const {
-  TPA_DCHECK(x.rows() == cols());
-  const size_t num_vectors = x.num_vectors();
-  y.Resize(rows(), num_vectors);
-  if (rows() == 0) return;
-  const uint64_t* offsets = structure_.row_offsets.data();
-  const uint32_t* indices = structure_.col_indices.data();
-  DispatchVals<V>(mode_, values_, scales_, offsets, [&](auto vals) {
-    DispatchWidth(
-        num_vectors,
-        [&]<size_t kWidth>() {
-          SpMmRows<kWidth>(offsets, indices, vals, rows(), nnz(), x, y);
-        },
-        [&] {
-          std::vector<double> sums;
-          SpMmRowsGeneric(offsets, indices, vals, rows(), nnz(), num_vectors,
-                          x, y, sums);
-        });
-  });
-}
-
-template <typename V>
-void CsrMatrixT<V>::SpMmTranspose(const DenseBlockT<V>& x,
-                                  DenseBlockT<V>& y) const {
-  TPA_DCHECK(x.rows() == rows());
-  const size_t num_vectors = x.num_vectors();
-  y.Resize(cols(), num_vectors);
-  y.SetZero();
-  if (rows() == 0) return;
-  const uint64_t* offsets = structure_.row_offsets.data();
-  const uint32_t* indices = structure_.col_indices.data();
-  DispatchVals<V>(mode_, values_, scales_, offsets, [&](auto vals) {
-    DispatchWidth(
-        num_vectors,
-        [&]<size_t kWidth>() {
-          SpMmTransposeRows<kWidth>(offsets, indices, vals, rows(), nnz(), x,
-                                    y);
-        },
-        [&] {
-          SpMmTransposeRowsGeneric(offsets, indices, vals, rows(), num_vectors,
-                                   x, y);
-        });
-  });
-}
-
-namespace {
-
-/// Inner loop of the block frontier scatter, width-specialized like the
-/// dense SpMmTranspose.  Touched destinations are collected once via the
-/// epoch marks; the caller sorts them afterwards.
-template <size_t kWidth, typename V, typename Vals>
-void SpMmTransposeFrontierRows(const uint64_t* offsets, const uint32_t* indices,
-                               Vals vals, std::span<const uint32_t> frontier,
-                               const DenseBlockT<V>& x, DenseBlockT<V>& y,
-                               std::vector<uint32_t>& next_frontier,
-                               FrontierScratch& scratch) {
-  for (uint32_t r : frontier) {
-    const V* __restrict xr = x.RowPtr(r);
-    bool any_nonzero = false;
-    for (size_t b = 0; b < kWidth; ++b) any_nonzero |= (xr[b] != V{0});
-    if (!any_nonzero) continue;
-    const uint64_t begin = offsets[r];
-    const uint64_t end = offsets[r + 1];
-    if constexpr (Vals::kRowConstantWeight) {
-      if (begin == end) continue;
-      V p[kWidth];
-      const V w = vals.Row(r);
-      for (size_t b = 0; b < kWidth; ++b) p[b] = w * xr[b];
-      for (uint64_t e = begin; e < end; ++e) {
-        const uint32_t dest = indices[e];
-        V* __restrict yr = y.RowPtr(dest);
-        for (size_t b = 0; b < kWidth; ++b) yr[b] += p[b];
-        if (scratch.touched_epoch[dest] != scratch.epoch) {
-          scratch.touched_epoch[dest] = scratch.epoch;
-          next_frontier.push_back(dest);
-        }
-      }
-    } else {
-      for (uint64_t e = begin; e < end; ++e) {
-        const uint32_t dest = indices[e];
-        const V w = vals.Edge(e, dest);
-        V* __restrict yr = y.RowPtr(dest);
-        for (size_t b = 0; b < kWidth; ++b) yr[b] += w * xr[b];
-        if (scratch.touched_epoch[dest] != scratch.epoch) {
-          scratch.touched_epoch[dest] = scratch.epoch;
-          next_frontier.push_back(dest);
-        }
-      }
-    }
-  }
-}
-
-template <typename V, typename Vals>
-void SpMmTransposeFrontierRowsGeneric(const uint64_t* offsets,
-                                      const uint32_t* indices, Vals vals,
-                                      std::span<const uint32_t> frontier,
-                                      size_t num_vectors,
-                                      const DenseBlockT<V>& x,
-                                      DenseBlockT<V>& y,
-                                      std::vector<uint32_t>& next_frontier,
-                                      FrontierScratch& scratch) {
-  std::vector<V> p(num_vectors);
-  for (uint32_t r : frontier) {
-    const V* __restrict xr = x.RowPtr(r);
-    bool any_nonzero = false;
-    for (size_t b = 0; b < num_vectors; ++b) any_nonzero |= (xr[b] != V{0});
-    if (!any_nonzero) continue;
-    const uint64_t begin = offsets[r];
-    const uint64_t end = offsets[r + 1];
-    if constexpr (Vals::kRowConstantWeight) {
-      if (begin == end) continue;
-      const V w = vals.Row(r);
-      for (size_t b = 0; b < num_vectors; ++b) p[b] = w * xr[b];
-      for (uint64_t e = begin; e < end; ++e) {
-        const uint32_t dest = indices[e];
-        V* __restrict yr = y.RowPtr(dest);
-        for (size_t b = 0; b < num_vectors; ++b) yr[b] += p[b];
-        if (scratch.touched_epoch[dest] != scratch.epoch) {
-          scratch.touched_epoch[dest] = scratch.epoch;
-          next_frontier.push_back(dest);
-        }
-      }
-    } else {
-      for (uint64_t e = begin; e < end; ++e) {
-        const uint32_t dest = indices[e];
-        const V w = vals.Edge(e, dest);
-        V* __restrict yr = y.RowPtr(dest);
-        for (size_t b = 0; b < num_vectors; ++b) yr[b] += w * xr[b];
-        if (scratch.touched_epoch[dest] != scratch.epoch) {
-          scratch.touched_epoch[dest] = scratch.epoch;
-          next_frontier.push_back(dest);
-        }
-      }
-    }
-  }
-}
-
-/// Inner loop of the block frontier gather: each candidate row is gathered
-/// in full, in SpMm's accumulation order — bitwise-identical per row to the
-/// dense kernel by construction.
-template <size_t kWidth, typename V, typename Vals>
-void SpMmFrontierRows(const uint64_t* offsets, const uint32_t* indices,
-                      Vals vals, std::span<const uint32_t> candidates,
-                      const DenseBlockT<V>& x, DenseBlockT<V>& y,
-                      std::vector<uint32_t>& nonzero_rows) {
-  for (uint32_t r : candidates) {
-    double sums[kWidth];
-    for (size_t b = 0; b < kWidth; ++b) sums[b] = 0.0;
-    const uint64_t begin = offsets[r];
-    const uint64_t end = offsets[r + 1];
-    if constexpr (Vals::kRowConstantWeight) {
-      if (begin != end) {
-        const double w = static_cast<double>(vals.Row(r));
-        for (uint64_t e = begin; e < end; ++e) {
-          const V* __restrict xr = x.RowPtr(indices[e]);
-          for (size_t b = 0; b < kWidth; ++b) {
-            sums[b] += w * static_cast<double>(xr[b]);
-          }
-        }
-      }
-    } else {
-      for (uint64_t e = begin; e < end; ++e) {
-        const double w = vals.Edge(e, indices[e]);
-        const V* __restrict xr = x.RowPtr(indices[e]);
-        for (size_t b = 0; b < kWidth; ++b) {
-          sums[b] += w * static_cast<double>(xr[b]);
-        }
-      }
-    }
-    V* __restrict out = y.RowPtr(r);
-    bool any_nonzero = false;
-    for (size_t b = 0; b < kWidth; ++b) {
-      out[b] = static_cast<V>(sums[b]);
-      any_nonzero |= (out[b] != V{0});
-    }
-    if (any_nonzero) nonzero_rows.push_back(r);
-  }
-}
-
-template <typename V, typename Vals>
-void SpMmFrontierRowsGeneric(const uint64_t* offsets, const uint32_t* indices,
-                             Vals vals, std::span<const uint32_t> candidates,
-                             size_t num_vectors, const DenseBlockT<V>& x,
-                             DenseBlockT<V>& y,
-                             std::vector<uint32_t>& nonzero_rows,
-                             std::vector<double>& sums) {
-  sums.resize(num_vectors);
-  for (uint32_t r : candidates) {
-    for (size_t b = 0; b < num_vectors; ++b) sums[b] = 0.0;
-    const uint64_t begin = offsets[r];
-    const uint64_t end = offsets[r + 1];
-    if constexpr (Vals::kRowConstantWeight) {
-      if (begin != end) {
-        const double w = static_cast<double>(vals.Row(r));
-        for (uint64_t e = begin; e < end; ++e) {
-          const V* __restrict xr = x.RowPtr(indices[e]);
-          for (size_t b = 0; b < num_vectors; ++b) {
-            sums[b] += w * static_cast<double>(xr[b]);
-          }
-        }
-      }
-    } else {
-      for (uint64_t e = begin; e < end; ++e) {
-        const double w = vals.Edge(e, indices[e]);
-        const V* __restrict xr = x.RowPtr(indices[e]);
-        for (size_t b = 0; b < num_vectors; ++b) {
-          sums[b] += w * static_cast<double>(xr[b]);
-        }
-      }
-    }
-    V* __restrict out = y.RowPtr(r);
-    bool any_nonzero = false;
-    for (size_t b = 0; b < num_vectors; ++b) {
-      out[b] = static_cast<V>(sums[b]);
-      any_nonzero |= (out[b] != V{0});
-    }
-    if (any_nonzero) nonzero_rows.push_back(r);
-  }
-}
-
-/// Block-row zeroing of y[col_begin, col_end) — the range kernels own their
-/// destination slice end to end.
-template <typename V>
-void ZeroBlockRows(DenseBlockT<V>& y, uint32_t begin, uint32_t end) {
-  if (begin >= end) return;
-  V* first = y.RowPtr(begin);
-  std::fill(first, first + (end - begin) * y.num_vectors(), V{0});
-}
-
-template <size_t kWidth, typename V, typename Vals>
-void SpMmTransposeRangeRows(const uint64_t* offsets, const uint32_t* indices,
-                            Vals vals, uint32_t rows, const DenseBlockT<V>& x,
-                            DenseBlockT<V>& y, uint32_t col_begin,
-                            uint32_t col_end) {
-  for (uint32_t r = 0; r < rows; ++r) {
-    const V* __restrict xr = x.RowPtr(r);
-    bool any_nonzero = false;
-    for (size_t b = 0; b < kWidth; ++b) any_nonzero |= (xr[b] != V{0});
-    if (!any_nonzero) continue;
-    const uint32_t* row_begin = indices + offsets[r];
-    const uint32_t* row_end = indices + offsets[r + 1];
-    const uint32_t* lo = std::lower_bound(row_begin, row_end, col_begin);
-    if constexpr (Vals::kRowConstantWeight) {
-      if (lo == row_end || *lo >= col_end) continue;
-      V p[kWidth];
-      const V w = vals.Row(r);
-      for (size_t b = 0; b < kWidth; ++b) p[b] = w * xr[b];
-      for (const uint32_t* it = lo; it != row_end && *it < col_end; ++it) {
-        V* __restrict yr = y.RowPtr(*it);
-        for (size_t b = 0; b < kWidth; ++b) yr[b] += p[b];
-      }
-    } else {
-      for (const uint32_t* it = lo; it != row_end && *it < col_end; ++it) {
-        const V w = vals.Edge(static_cast<uint64_t>(it - indices), *it);
-        V* __restrict yr = y.RowPtr(*it);
-        for (size_t b = 0; b < kWidth; ++b) yr[b] += w * xr[b];
-      }
-    }
-  }
-}
-
-template <typename V, typename Vals>
-void SpMmTransposeRangeRowsGeneric(const uint64_t* offsets,
-                                   const uint32_t* indices, Vals vals,
-                                   uint32_t rows, size_t num_vectors,
-                                   const DenseBlockT<V>& x, DenseBlockT<V>& y,
-                                   uint32_t col_begin, uint32_t col_end) {
-  std::vector<V> p(num_vectors);
-  for (uint32_t r = 0; r < rows; ++r) {
-    const V* __restrict xr = x.RowPtr(r);
-    bool any_nonzero = false;
-    for (size_t b = 0; b < num_vectors; ++b) any_nonzero |= (xr[b] != V{0});
-    if (!any_nonzero) continue;
-    const uint32_t* row_begin = indices + offsets[r];
-    const uint32_t* row_end = indices + offsets[r + 1];
-    const uint32_t* lo = std::lower_bound(row_begin, row_end, col_begin);
-    if constexpr (Vals::kRowConstantWeight) {
-      if (lo == row_end || *lo >= col_end) continue;
-      const V w = vals.Row(r);
-      for (size_t b = 0; b < num_vectors; ++b) p[b] = w * xr[b];
-      for (const uint32_t* it = lo; it != row_end && *it < col_end; ++it) {
-        V* __restrict yr = y.RowPtr(*it);
-        for (size_t b = 0; b < num_vectors; ++b) yr[b] += p[b];
-      }
-    } else {
-      for (const uint32_t* it = lo; it != row_end && *it < col_end; ++it) {
-        const V w = vals.Edge(static_cast<uint64_t>(it - indices), *it);
-        V* __restrict yr = y.RowPtr(*it);
-        for (size_t b = 0; b < num_vectors; ++b) yr[b] += w * xr[b];
-      }
-    }
-  }
-}
-
-}  // namespace
-
-template <typename V>
 bool CsrMatrixT<V>::SpMvTransposeFrontier(const std::vector<V>& x,
                                           std::span<const uint32_t> frontier,
                                           double density_threshold,
@@ -851,45 +388,6 @@ bool CsrMatrixT<V>::SpMvTransposeFrontier(const std::vector<V>& x,
 }
 
 template <typename V>
-bool CsrMatrixT<V>::SpMmTransposeFrontier(const DenseBlockT<V>& x,
-                                          std::span<const uint32_t> frontier,
-                                          double density_threshold,
-                                          DenseBlockT<V>& y,
-                                          std::vector<uint32_t>& next_frontier,
-                                          FrontierScratch& scratch) const {
-  TPA_DCHECK(x.rows() == rows());
-  if (static_cast<double>(frontier.size()) >
-      density_threshold * static_cast<double>(rows())) {
-    SpMmTranspose(x, y);
-    next_frontier.clear();
-    return false;
-  }
-  TPA_DCHECK(y.rows() == cols());
-  TPA_DCHECK(y.num_vectors() == x.num_vectors());
-  scratch.BeginEpoch(cols());
-  next_frontier.clear();
-  if (rows() == 0) return true;
-  const size_t num_vectors = x.num_vectors();
-  const uint64_t* offsets = structure_.row_offsets.data();
-  const uint32_t* indices = structure_.col_indices.data();
-  DispatchVals<V>(mode_, values_, scales_, offsets, [&](auto vals) {
-    DispatchWidth(
-        num_vectors,
-        [&]<size_t kWidth>() {
-          SpMmTransposeFrontierRows<kWidth>(offsets, indices, vals, frontier,
-                                            x, y, next_frontier, scratch);
-        },
-        [&] {
-          SpMmTransposeFrontierRowsGeneric(offsets, indices, vals, frontier,
-                                           num_vectors, x, y, next_frontier,
-                                           scratch);
-        });
-  });
-  std::sort(next_frontier.begin(), next_frontier.end());
-  return true;
-}
-
-template <typename V>
 bool CsrMatrixT<V>::SpMvFrontier(const std::vector<V>& x,
                                  std::span<const uint32_t> candidates,
                                  double density_threshold, std::vector<V>& y,
@@ -916,41 +414,6 @@ bool CsrMatrixT<V>::SpMvFrontier(const std::vector<V>& x,
 }
 
 template <typename V>
-bool CsrMatrixT<V>::SpMmFrontier(const DenseBlockT<V>& x,
-                                 std::span<const uint32_t> candidates,
-                                 double density_threshold, DenseBlockT<V>& y,
-                                 std::vector<uint32_t>& nonzero_rows) const {
-  TPA_DCHECK(x.rows() == cols());
-  if (static_cast<double>(candidates.size()) >
-      density_threshold * static_cast<double>(rows())) {
-    SpMm(x, y);
-    nonzero_rows.clear();
-    return false;
-  }
-  TPA_DCHECK(y.rows() == rows());
-  TPA_DCHECK(y.num_vectors() == x.num_vectors());
-  nonzero_rows.clear();
-  if (rows() == 0) return true;
-  const size_t num_vectors = x.num_vectors();
-  const uint64_t* offsets = structure_.row_offsets.data();
-  const uint32_t* indices = structure_.col_indices.data();
-  DispatchVals<V>(mode_, values_, scales_, offsets, [&](auto vals) {
-    DispatchWidth(
-        num_vectors,
-        [&]<size_t kWidth>() {
-          SpMmFrontierRows<kWidth>(offsets, indices, vals, candidates, x, y,
-                                   nonzero_rows);
-        },
-        [&] {
-          std::vector<double> sums;
-          SpMmFrontierRowsGeneric(offsets, indices, vals, candidates,
-                                  num_vectors, x, y, nonzero_rows, sums);
-        });
-  });
-  return true;
-}
-
-template <typename V>
 void CsrMatrixT<V>::ExpandFrontier(std::span<const uint32_t> rows_list,
                                    std::vector<uint32_t>& expanded,
                                    FrontierScratch& scratch) const {
@@ -970,120 +433,6 @@ void CsrMatrixT<V>::ExpandFrontier(std::span<const uint32_t> rows_list,
     }
   }
   std::sort(expanded.begin(), expanded.end());
-}
-
-template <typename V>
-std::vector<uint32_t> CsrMatrixT<V>::NnzBalancedColumnRanges(
-    size_t num_parts) const {
-  num_parts = std::max<size_t>(1, num_parts);
-  std::vector<uint64_t> col_nnz(cols(), 0);
-  for (uint32_t c : structure_.col_indices) ++col_nnz[c];
-
-  std::vector<uint32_t> boundaries;
-  boundaries.reserve(num_parts + 1);
-  boundaries.push_back(0);
-  const uint64_t total = nnz();
-  uint64_t seen = 0;
-  for (uint32_t c = 0; c < cols() && boundaries.size() < num_parts; ++c) {
-    seen += col_nnz[c];
-    // Cut after column c once this part has its proportional share.
-    if (seen * num_parts >= total * boundaries.size()) {
-      boundaries.push_back(c + 1);
-    }
-  }
-  while (boundaries.size() <= num_parts) boundaries.push_back(cols());
-  boundaries.back() = cols();
-  return boundaries;
-}
-
-template <typename V>
-void CsrMatrixT<V>::SpMvTransposeRange(const std::vector<V>& x,
-                                       std::vector<V>& y, uint32_t col_begin,
-                                       uint32_t col_end) const {
-  TPA_DCHECK(x.size() == rows());
-  TPA_DCHECK(y.size() == cols());
-  TPA_DCHECK(col_begin <= col_end && col_end <= cols());
-  std::fill(y.begin() + col_begin, y.begin() + col_end, V{0});
-  if (rows() == 0) return;
-  const uint64_t* offsets = structure_.row_offsets.data();
-  const uint32_t* indices = structure_.col_indices.data();
-  DispatchVals<V>(mode_, values_, scales_, offsets, [&](auto vals) {
-    for (uint32_t r = 0; r < rows(); ++r) {
-      const V xr = x[r];
-      if (xr == V{0}) continue;
-      const uint32_t* row_begin = indices + offsets[r];
-      const uint32_t* row_end = indices + offsets[r + 1];
-      const uint32_t* lo = std::lower_bound(row_begin, row_end, col_begin);
-      if constexpr (decltype(vals)::kRowConstantWeight) {
-        if (lo == row_end || *lo >= col_end) continue;
-        const V p = vals.Row(r) * xr;
-        for (const uint32_t* it = lo; it != row_end && *it < col_end; ++it) {
-          y[*it] += p;
-        }
-      } else {
-        for (const uint32_t* it = lo; it != row_end && *it < col_end; ++it) {
-          y[*it] += vals.Edge(static_cast<uint64_t>(it - indices), *it) * xr;
-        }
-      }
-    }
-  });
-}
-
-template <typename V>
-void CsrMatrixT<V>::SpMmTransposeRange(const DenseBlockT<V>& x,
-                                       DenseBlockT<V>& y, uint32_t col_begin,
-                                       uint32_t col_end) const {
-  TPA_DCHECK(x.rows() == rows());
-  TPA_DCHECK(y.rows() == cols());
-  TPA_DCHECK(y.num_vectors() == x.num_vectors());
-  TPA_DCHECK(col_begin <= col_end && col_end <= cols());
-  ZeroBlockRows(y, col_begin, col_end);
-  if (rows() == 0) return;
-  const size_t num_vectors = x.num_vectors();
-  const uint64_t* offsets = structure_.row_offsets.data();
-  const uint32_t* indices = structure_.col_indices.data();
-  DispatchVals<V>(mode_, values_, scales_, offsets, [&](auto vals) {
-    DispatchWidth(
-        num_vectors,
-        [&]<size_t kWidth>() {
-          SpMmTransposeRangeRows<kWidth>(offsets, indices, vals, rows(), x, y,
-                                         col_begin, col_end);
-        },
-        [&] {
-          SpMmTransposeRangeRowsGeneric(offsets, indices, vals, rows(),
-                                        num_vectors, x, y, col_begin, col_end);
-        });
-  });
-}
-
-template <typename V>
-void CsrMatrixT<V>::SpMvTransposeParallel(const std::vector<V>& x,
-                                          std::vector<V>& y,
-                                          std::span<const uint32_t> boundaries,
-                                          TaskRunner& runner) const {
-  TPA_DCHECK(x.size() == rows());
-  TPA_CHECK_GE(boundaries.size(), 2u);
-  TPA_CHECK_EQ(boundaries.front(), 0u);
-  TPA_CHECK_EQ(boundaries.back(), cols());
-  y.resize(cols());
-  runner.ParallelFor(boundaries.size() - 1, [&](size_t p) {
-    SpMvTransposeRange(x, y, boundaries[p], boundaries[p + 1]);
-  });
-}
-
-template <typename V>
-void CsrMatrixT<V>::SpMmTransposeParallel(const DenseBlockT<V>& x,
-                                          DenseBlockT<V>& y,
-                                          std::span<const uint32_t> boundaries,
-                                          TaskRunner& runner) const {
-  TPA_DCHECK(x.rows() == rows());
-  TPA_CHECK_GE(boundaries.size(), 2u);
-  TPA_CHECK_EQ(boundaries.front(), 0u);
-  TPA_CHECK_EQ(boundaries.back(), cols());
-  y.Resize(cols(), x.num_vectors());
-  runner.ParallelFor(boundaries.size() - 1, [&](size_t p) {
-    SpMmTransposeRange(x, y, boundaries[p], boundaries[p + 1]);
-  });
 }
 
 template <typename V>

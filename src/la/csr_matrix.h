@@ -7,10 +7,8 @@
 #include <span>
 #include <vector>
 
-#include "la/dense_block.h"
 #include "la/precision.h"
 #include "la/shared_array.h"
-#include "la/task_runner.h"
 #include "util/status.h"
 
 namespace tpa::la {
@@ -111,16 +109,17 @@ size_t CsrStructureBytes(const CsrStructure& structure);
 /// operation — each destination still accumulates the identical product in
 /// the identical order.
 ///
-/// V is the storage precision tier of the edge values and the vector/block
+/// V is the storage precision tier of the edge values and the vector
 /// operands (see Precision).  The arithmetic contract per direction:
-///  * gathers (SpMv/SpMm) accumulate each output in an fp64 register and
+///  * gathers (SpMv) accumulate each output in an fp64 register and
 ///    round to V once on store — per-entry error O(eps_f32) at the fp32
 ///    tier regardless of row length;
-///  * scatters (SpMvTranspose and friends) update destinations in native V
-///    (one product + add rounding per edge), which is what lets the fp32
-///    inner loop vectorize at twice the fp64 lane width instead of paying
-///    a convert per operand — per-destination error O(in-degree · eps_f32),
-///    the same order a V-typed accumulator implies in any case.
+///  * scatters (SpMvTranspose and its frontier head) update destinations
+///    in native V (one product + add rounding per edge), which is what lets
+///    the fp32 inner loop vectorize at twice the fp64 lane width instead of
+///    paying a convert per operand — per-destination error
+///    O(in-degree · eps_f32), the same order a V-typed accumulator implies
+///    in any case.
 /// The V = double instantiation is bitwise-identical to the historical
 /// all-double kernels under both rules.
 ///
@@ -204,20 +203,6 @@ class CsrMatrixT {
   /// Requires x.size() == rows().
   void SpMvTranspose(const std::vector<V>& x, std::vector<V>& y) const;
 
-  /// Multi-vector gather: Y = A X, one CSR sweep updating all B vectors of
-  /// the block (Y is reshaped to rows() × B and overwritten).  For inputs
-  /// free of NaN/Inf/−0.0, vector b of Y is bitwise-identical to SpMv run on
-  /// vector b of X alone: per vector, the edge contributions accumulate in
-  /// exactly the SpMv order.  Requires x.rows() == cols().
-  void SpMm(const DenseBlockT<V>& x, DenseBlockT<V>& y) const;
-
-  /// Multi-vector scatter: Y = A^T X, one CSR sweep updating all B vectors
-  /// (Y is reshaped to cols() × B and zeroed first).  Same per-vector
-  /// bitwise contract as SpMm, against SpMvTranspose.  Block rows of X that
-  /// are entirely zero are skipped, mirroring the scalar kernel's
-  /// zero-source skip.  Requires x.rows() == rows().
-  void SpMmTranspose(const DenseBlockT<V>& x, DenseBlockT<V>& y) const;
-
   /// Frontier-sparse scatter: the adaptive head of the propagation loop.
   ///
   /// `frontier` lists, in ascending order, a superset of the rows where x is
@@ -243,19 +228,6 @@ class CsrMatrixT {
                              std::vector<uint32_t>& next_frontier,
                              FrontierScratch& scratch) const;
 
-  /// Multi-vector frontier scatter: same contract as SpMvTransposeFrontier
-  /// with block operands.  `frontier` is a sorted superset of the rows where
-  /// any of the B vectors is nonzero (the union frontier); block rows that
-  /// are entirely zero are skipped like the dense kernel's zero-row skip.
-  /// y must be cols() × B and all-zero on entry.  Falls through to
-  /// SpMmTranspose above the density threshold (returns false).  Per vector
-  /// bitwise-identical to SpMmTranspose.
-  bool SpMmTransposeFrontier(const DenseBlockT<V>& x,
-                             std::span<const uint32_t> frontier,
-                             double density_threshold, DenseBlockT<V>& y,
-                             std::vector<uint32_t>& next_frontier,
-                             FrontierScratch& scratch) const;
-
   /// Frontier-sparse gather: the pull-side mirror of the scatter frontier
   /// head.  `candidates` lists, in ascending order, a superset of the rows
   /// whose gather can be nonzero (every row with an edge into the support of
@@ -275,61 +247,15 @@ class CsrMatrixT {
                     double density_threshold, std::vector<V>& y,
                     std::vector<uint32_t>& nonzero_rows) const;
 
-  /// Multi-vector frontier gather: same contract as SpMvFrontier with block
-  /// operands; a candidate joins nonzero_rows when any of its B results is
-  /// nonzero.  y must be rows() × B and all-zero on entry.  Falls through
-  /// to SpMm above the density threshold (returns false).  Per computed row
-  /// bitwise-identical to SpMm.
-  bool SpMmFrontier(const DenseBlockT<V>& x,
-                    std::span<const uint32_t> candidates,
-                    double density_threshold, DenseBlockT<V>& y,
-                    std::vector<uint32_t>& nonzero_rows) const;
-
   /// The sorted union of RowIndices over `rows` — structural frontier
   /// expansion.  Applied to the *companion* matrix of a gather (the out-CSR
   /// when gathering over the in-CSR), it maps the support of x to the
-  /// candidate output rows SpMvFrontier/SpMmFrontier need: row r's gather
-  /// can be nonzero iff some support node points at r, i.e. r is an
-  /// out-neighbor of the support.
+  /// candidate output rows SpMvFrontier needs: row r's gather can be
+  /// nonzero iff some support node points at r, i.e. r is an out-neighbor
+  /// of the support.
   void ExpandFrontier(std::span<const uint32_t> rows,
                       std::vector<uint32_t>& expanded,
                       FrontierScratch& scratch) const;
-
-  /// Destination-balanced partition of [0, cols()) for the parallel scatter
-  /// kernels: num_parts+1 ascending boundaries splitting the columns so each
-  /// part receives roughly nnz/num_parts incoming edges (hub destinations
-  /// are what skew a naive equal-width split).  Costs one O(nnz) counting
-  /// sweep — callers cache the result per (matrix, num_parts).
-  std::vector<uint32_t> NnzBalancedColumnRanges(size_t num_parts) const;
-
-  /// Partial scatter restricted to destinations in [col_begin, col_end):
-  /// zeroes that slice of y, then accumulates every edge whose column falls
-  /// in the range, rows ascending.  Per destination this reproduces the
-  /// full kernel's accumulation order bitwise, so disjoint ranges covering
-  /// [0, cols()) compose to exactly SpMvTranspose.  y must be sized cols().
-  /// Relies on column indices being sorted within each row (binary search
-  /// for the row's sub-range).
-  void SpMvTransposeRange(const std::vector<V>& x, std::vector<V>& y,
-                          uint32_t col_begin, uint32_t col_end) const;
-
-  /// Block-operand variant of SpMvTransposeRange; y must be cols() × B.
-  void SpMmTransposeRange(const DenseBlockT<V>& x, DenseBlockT<V>& y,
-                          uint32_t col_begin, uint32_t col_end) const;
-
-  /// Parallel y = A^T x: dispatches SpMvTransposeRange over the destination
-  /// partition `boundaries` (from NnzBalancedColumnRanges) on `runner`.
-  /// Each destination is owned by exactly one range, so the result is
-  /// deterministic and bitwise-identical to the sequential SpMvTranspose
-  /// regardless of scheduling.  y is resized first.
-  void SpMvTransposeParallel(const std::vector<V>& x, std::vector<V>& y,
-                             std::span<const uint32_t> boundaries,
-                             TaskRunner& runner) const;
-
-  /// Parallel Y = A^T X over the same destination partition; per-vector
-  /// bitwise-identical to the sequential SpMmTranspose.
-  void SpMmTransposeParallel(const DenseBlockT<V>& x, DenseBlockT<V>& y,
-                             std::span<const uint32_t> boundaries,
-                             TaskRunner& runner) const;
 
   /// Logical storage bytes: StructureBytes() + ValueBytes().  When several
   /// matrices alias one structure, each reports the full structure — use

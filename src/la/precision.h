@@ -8,7 +8,7 @@ namespace tpa::la {
 
 /// Value-precision tier of the propagation stack.  It selects the storage
 /// type of every value the hot loops stream — CSR edge weights, CPI interim
-/// vectors, DenseBlock multivectors, cached score vectors — with gather
+/// vectors, cached score vectors — with gather
 /// reductions still accumulated in fp64 (see CsrMatrixT for the per-kernel
 /// arithmetic contract).  kFloat64 is the
 /// default and is bitwise-identical to the historical all-double pipeline;

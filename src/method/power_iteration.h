@@ -48,28 +48,6 @@ class PowerIterationRwr final : public RwrMethod {
     return std::move(result.scores);
   }
 
-  /// Reference native batch path: CPI to convergence for all seeds as one
-  /// SpMM chain; each seed's accumulation stops at its own convergence
-  /// iteration, so vectors match Query bitwise.
-  StatusOr<la::DenseBlock> QueryBatchDense(
-      std::span<const NodeId> seeds,
-      std::span<QueryContext* const> contexts = {}) override {
-    if (graph_ == nullptr) {
-      return FailedPreconditionError("Preprocess must be called before Query");
-    }
-    if (graph_->value_precision() == la::Precision::kFloat32) {
-      TPA_ASSIGN_OR_RETURN(
-          la::DenseBlockF block,
-          Cpi::RunBatchT<float>(*graph_, seeds, options_, nullptr, contexts));
-      la::DenseBlock wide;
-      la::ConvertBlock(block, wide);
-      return wide;
-    }
-    return Cpi::RunBatch(*graph_, seeds, options_, nullptr, contexts);
-  }
-
-  bool SupportsBatchQuery() const override { return true; }
-
   /// Native bound-driven path: the convergence loop under Cpi::RunTopKT
   /// with no merge baseline — exact RWR's ranking typically certifies long
   /// before the 1e-9 norm tolerance, cutting the iteration count well
@@ -114,22 +92,6 @@ class PowerIterationRwr final : public RwrMethod {
         Cpi::ResultF result,
         Cpi::RunT<float>(*graph_, {seed}, options_, nullptr, context));
     return std::move(result.scores);
-  }
-
-  StatusOr<la::DenseBlockF> QueryBatchDenseF32(
-      std::span<const NodeId> seeds,
-      std::span<QueryContext* const> contexts = {}) override {
-    if (graph_ == nullptr) {
-      return FailedPreconditionError("Preprocess must be called before Query");
-    }
-    if (graph_->value_precision() != la::Precision::kFloat32) {
-      return FailedPreconditionError("graph is not materialized at fp32");
-    }
-    return Cpi::RunBatchT<float>(*graph_, seeds, options_, nullptr, contexts);
-  }
-
-  void SetTaskRunner(la::TaskRunner* runner) override {
-    options_.task_runner = runner;
   }
 
   size_t PreprocessedBytes() const override { return 0; }

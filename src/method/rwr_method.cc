@@ -24,57 +24,11 @@ StatusOr<TopKQueryResult> RwrMethod::QueryTopK(NodeId seed, int k,
   return result;
 }
 
-StatusOr<la::DenseBlock> RwrMethod::QueryBatchDense(
-    std::span<const NodeId> seeds, std::span<QueryContext* const> contexts) {
-  if (seeds.empty()) {
-    return InvalidArgumentError("seed batch must be non-empty");
-  }
-  if (!contexts.empty() && contexts.size() != seeds.size()) {
-    return InvalidArgumentError(
-        "contexts must be empty or align with the seed batch");
-  }
-  la::DenseBlock block;
-  for (size_t b = 0; b < seeds.size(); ++b) {
-    QueryContext* context = contexts.empty() ? nullptr : contexts[b];
-    TPA_ASSIGN_OR_RETURN(std::vector<double> scores,
-                         Query(seeds[b], context));
-    if (b == 0) block.Resize(scores.size(), seeds.size());
-    if (scores.size() != block.rows()) {
-      return InternalError("Query returned inconsistently sized vectors");
-    }
-    block.SetVector(b, scores);
-  }
-  return block;
-}
-
 StatusOr<std::vector<float>> RwrMethod::QueryF32(NodeId seed,
                                                  QueryContext* context) {
   (void)seed;
   (void)context;
   return UnimplementedError("method has no fp32 query path");
-}
-
-StatusOr<la::DenseBlockF> RwrMethod::QueryBatchDenseF32(
-    std::span<const NodeId> seeds, std::span<QueryContext* const> contexts) {
-  if (seeds.empty()) {
-    return InvalidArgumentError("seed batch must be non-empty");
-  }
-  if (!contexts.empty() && contexts.size() != seeds.size()) {
-    return InvalidArgumentError(
-        "contexts must be empty or align with the seed batch");
-  }
-  la::DenseBlockF block;
-  for (size_t b = 0; b < seeds.size(); ++b) {
-    QueryContext* context = contexts.empty() ? nullptr : contexts[b];
-    TPA_ASSIGN_OR_RETURN(std::vector<float> scores,
-                         QueryF32(seeds[b], context));
-    if (b == 0) block.Resize(scores.size(), seeds.size());
-    if (scores.size() != block.rows()) {
-      return InternalError("QueryF32 returned inconsistently sized vectors");
-    }
-    block.SetVector(b, scores);
-  }
-  return block;
 }
 
 }  // namespace tpa

@@ -2,15 +2,12 @@
 #define TPA_METHOD_RWR_METHOD_H_
 
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "graph/graph.h"
-#include "la/dense_block.h"
 #include "la/precision.h"
-#include "la/task_runner.h"
 #include "la/topk.h"
 #include "util/memory_budget.h"
 #include "util/query_context.h"
@@ -51,26 +48,6 @@ class RwrMethod {
                                               QueryContext* context =
                                                   nullptr) = 0;
 
-  /// Dense score vectors for a whole batch of seeds at once; vector b of
-  /// the block is the result for seeds[b].  The base implementation loops
-  /// Query per seed (identical results, no speedup).  Methods that
-  /// override SupportsBatchQuery() provide a native multi-vector path that
-  /// shares one matrix traversal across the batch and must keep each
-  /// vector bitwise-identical to the corresponding Query(seed).  Fails on
-  /// an empty batch; a per-seed failure (e.g. out of range) fails the
-  /// whole call — the QueryEngine validates seeds before dispatching.
-  /// `contexts`, when non-empty, aligns with `seeds` (null entries allowed)
-  /// and aborts only its own seed's accumulation in native batch paths.
-  virtual StatusOr<la::DenseBlock> QueryBatchDense(
-      std::span<const NodeId> seeds,
-      std::span<QueryContext* const> contexts = {});
-
-  /// True when QueryBatchDense runs natively batched (one shared SpMM sweep
-  /// instead of B matvec sweeps) and is therefore worth dispatching whole
-  /// seed groups to.  Conservative default: false (the base QueryBatchDense
-  /// still works, it just offers no advantage over per-seed fan-out).
-  virtual bool SupportsBatchQuery() const { return false; }
-
   /// Top k of the seed's score vector at the method's serving tier: the
   /// ranking always equals TopKScores over the corresponding full query
   /// (score descending, ties toward the smaller node id), and with early
@@ -109,19 +86,6 @@ class RwrMethod {
   virtual StatusOr<std::vector<float>> QueryF32(NodeId seed,
                                                 QueryContext* context =
                                                     nullptr);
-
-  /// fp32 flavor of QueryBatchDense; vector b must be bitwise-identical to
-  /// QueryF32(seeds[b]).  Default: UNIMPLEMENTED.
-  virtual StatusOr<la::DenseBlockF> QueryBatchDenseF32(
-      std::span<const NodeId> seeds,
-      std::span<QueryContext* const> contexts = {});
-
-  /// Installs a fork-join runner that batched queries may use to partition
-  /// their dense propagation sweeps across threads (the QueryEngine passes
-  /// its ThreadPool in; results stay bitwise-identical — see
-  /// CsrMatrix::SpMmTransposeParallel).  The runner must outlive the method
-  /// or be cleared with nullptr first.  Default: ignored.
-  virtual void SetTaskRunner(la::TaskRunner* runner) { (void)runner; }
 
   /// Logical size of the preprocessed data retained for the online phase
   /// (Figure 1(a) / Figure 10(a) metric).  Zero before Preprocess.

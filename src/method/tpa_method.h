@@ -41,7 +41,6 @@ class TpaMethod final : public RwrMethod {
         return FailedPreconditionError(
             "preloaded TPA state was preprocessed against a different graph");
       }
-      tpa_->set_task_runner(options_.task_runner);
       return OkStatus();
     }
     TPA_ASSIGN_OR_RETURN(Tpa tpa, Tpa::Preprocess(graph, options_));
@@ -59,20 +58,6 @@ class TpaMethod final : public RwrMethod {
     // the cooperative abort into the family propagation.
     return tpa_->QueryPersonalized({seed}, context);
   }
-
-  /// Native SpMM path: the S family iterations for the whole batch run as
-  /// one multi-vector chain (Tpa::QueryBatch), bitwise-identical per seed
-  /// to Query.
-  StatusOr<la::DenseBlock> QueryBatchDense(
-      std::span<const NodeId> seeds,
-      std::span<QueryContext* const> contexts = {}) override {
-    if (!tpa_.has_value()) {
-      return FailedPreconditionError("Preprocess must be called before Query");
-    }
-    return tpa_->QueryBatch(seeds, contexts);
-  }
-
-  bool SupportsBatchQuery() const override { return true; }
 
   /// Native bound-driven path: the family CPI under Cpi::RunTopKT with the
   /// stranger tail as the merge baseline, at the graph's tier.
@@ -106,23 +91,6 @@ class TpaMethod final : public RwrMethod {
       return FailedPreconditionError("graph is not materialized at fp32");
     }
     return tpa_->QueryPersonalizedF({seed}, context);
-  }
-
-  StatusOr<la::DenseBlockF> QueryBatchDenseF32(
-      std::span<const NodeId> seeds,
-      std::span<QueryContext* const> contexts = {}) override {
-    if (!tpa_.has_value()) {
-      return FailedPreconditionError("Preprocess must be called before Query");
-    }
-    if (tpa_->precision() != la::Precision::kFloat32) {
-      return FailedPreconditionError("graph is not materialized at fp32");
-    }
-    return tpa_->QueryBatchF(seeds, contexts);
-  }
-
-  void SetTaskRunner(la::TaskRunner* runner) override {
-    options_.task_runner = runner;
-    if (tpa_.has_value()) tpa_->set_task_runner(runner);
   }
 
   size_t PreprocessedBytes() const override {

@@ -8,9 +8,9 @@ namespace tpa {
 /// Size in bytes of the last-level data cache of cpu0, read from the Linux
 /// sysfs cache topology (`/sys/devices/system/cpu/cpu0/cache/index*/`).
 /// Falls back to `fallback_bytes` when the topology is unreadable (non-Linux
-/// hosts, restricted containers).  The result feeds the query engine's
-/// batch_block_size heuristic: grouped SpMM serving pays off once the CSR
-/// arrays outgrow this.
+/// hosts, restricted containers).  Benchmarks record it in their host
+/// fingerprint and size their working sets against it; no serving path
+/// reads it.
 size_t DetectLastLevelCacheBytes(size_t fallback_bytes = 8ull << 20);
 
 }  // namespace tpa

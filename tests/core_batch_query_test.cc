@@ -1,19 +1,20 @@
+/// The batch contract of the TPA core: a batch of seeds served through
+/// QueryEngine::QueryBatch over a TpaMethod — one job per seed, fanned out
+/// across the engine's pool, each drawing its own workspace from the Tpa's
+/// pool — is bitwise the sequential Tpa::Query of every seed, on either
+/// propagation flavor, and a bad seed fails its own slot only.
+
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/cpi.h"
 #include "core/tpa.h"
-#include "engine/thread_pool.h"
+#include "engine/query_engine.h"
 #include "graph/generators.h"
-#include "la/dense_block.h"
-#include "method/power_iteration.h"
-#include "method/registry.h"
 #include "method/tpa_method.h"
 #include "util/check.h"
-#include "util/memory_budget.h"
 
 namespace tpa {
 namespace {
@@ -38,252 +39,59 @@ void ExpectVectorBitwiseEq(const std::vector<double>& got,
   }
 }
 
-TEST(CpiRunBatchTest, MatchesScalarRunBitwise) {
-  Graph graph = TestGraph();
-  const std::vector<NodeId> seeds = {0, 7, 200, 399, 7};  // includes a dup
+/// Serves `seeds` as one QueryBatch on a three-thread engine and checks
+/// every slot against the sequential Tpa::Query of its seed.
+void ExpectBatchMatchesSequentialQuery(const Graph& graph,
+                                       const TpaOptions& options,
+                                       const std::vector<NodeId>& seeds) {
+  auto tpa = Tpa::Preprocess(graph, options);
+  ASSERT_TRUE(tpa.ok());
+  QueryEngineOptions engine_options;
+  engine_options.num_threads = 3;
+  auto engine = QueryEngine::Create(
+      graph, std::make_unique<TpaMethod>(options), engine_options);
+  ASSERT_TRUE(engine.ok());
 
-  for (bool use_pull : {false, true}) {
-    CpiOptions options;
-    options.use_pull = use_pull;
-    options.start_iteration = 0;
-    options.terminal_iteration = 4;  // TPA's family window shape
-
-    auto block = Cpi::RunBatch(graph, seeds, options);
-    ASSERT_TRUE(block.ok());
-    ASSERT_EQ(block->rows(), graph.num_nodes());
-    ASSERT_EQ(block->num_vectors(), seeds.size());
-
-    for (size_t b = 0; b < seeds.size(); ++b) {
-      auto scalar = Cpi::Run(graph, {seeds[b]}, options);
-      ASSERT_TRUE(scalar.ok());
-      ExpectVectorBitwiseEq(block->ExtractVector(b), scalar->scores,
-                            "pull=" + std::to_string(use_pull) + " seed " +
-                                std::to_string(seeds[b]));
-    }
-  }
-}
-
-TEST(CpiRunBatchTest, UnboundedRunHonorsPerSeedConvergence) {
-  Graph graph = TestGraph(57);
-  // Loose tolerance so different seeds converge at different iterations —
-  // the per-vector freeze must reproduce each scalar run's stopping point.
-  CpiOptions options;
-  options.tolerance = 1e-4;
-
-  const std::vector<NodeId> seeds = {1, 50, 399};
-  auto block = Cpi::RunBatch(graph, seeds, options);
-  ASSERT_TRUE(block.ok());
+  const std::vector<QueryResult> batch = engine->QueryBatch(seeds);
+  ASSERT_EQ(batch.size(), seeds.size());
   for (size_t b = 0; b < seeds.size(); ++b) {
-    auto scalar = Cpi::Run(graph, {seeds[b]}, options);
-    ASSERT_TRUE(scalar.ok());
-    ExpectVectorBitwiseEq(block->ExtractVector(b), scalar->scores,
+    ASSERT_TRUE(batch[b].status.ok()) << batch[b].status;
+    EXPECT_EQ(batch[b].seed, seeds[b]);
+    ExpectVectorBitwiseEq(batch[b].scores, tpa->Query(seeds[b]),
                           "seed " + std::to_string(seeds[b]));
-  }
-}
-
-TEST(CpiRunBatchTest, WindowedStartSkipsEarlyIterations) {
-  Graph graph = TestGraph();
-  CpiOptions options;
-  options.start_iteration = 3;
-  options.terminal_iteration = 9;
-
-  const std::vector<NodeId> seeds = {5, 123};
-  auto block = Cpi::RunBatch(graph, seeds, options);
-  ASSERT_TRUE(block.ok());
-  for (size_t b = 0; b < seeds.size(); ++b) {
-    auto scalar = Cpi::Run(graph, {seeds[b]}, options);
-    ASSERT_TRUE(scalar.ok());
-    ExpectVectorBitwiseEq(block->ExtractVector(b), scalar->scores,
-                          "seed " + std::to_string(seeds[b]));
-  }
-}
-
-TEST(CpiRunBatchTest, RejectsBadInput) {
-  Graph graph = TestGraph();
-  EXPECT_FALSE(Cpi::RunBatch(graph, {}, {}).ok());
-  const std::vector<NodeId> bad = {graph.num_nodes()};
-  EXPECT_EQ(Cpi::RunBatch(graph, bad, {}).status().code(),
-            StatusCode::kOutOfRange);
-  CpiOptions invalid;
-  invalid.restart_probability = 2.0;
-  const std::vector<NodeId> seeds = {0};
-  EXPECT_FALSE(Cpi::RunBatch(graph, seeds, invalid).ok());
-}
-
-TEST(CpiRunBatchTest, ThresholdSweepAgreesWithDenseOnlyScalar) {
-  // The strongest cross-pin: a fully sparse batch (threshold 1) against a
-  // fully dense scalar run (threshold 0), plus the default in between.
-  Graph graph = TestGraph();
-  const std::vector<NodeId> seeds = {0, 7, 200, 399};
-
-  CpiOptions dense_scalar;
-  dense_scalar.terminal_iteration = 4;
-  dense_scalar.frontier_density_threshold = 0.0;
-
-  for (double threshold : {0.125, 1.0}) {
-    CpiOptions batch_options = dense_scalar;
-    batch_options.frontier_density_threshold = threshold;
-    auto block = Cpi::RunBatch(graph, seeds, batch_options);
-    ASSERT_TRUE(block.ok());
-    for (size_t b = 0; b < seeds.size(); ++b) {
-      auto scalar = Cpi::Run(graph, {seeds[b]}, dense_scalar);
-      ASSERT_TRUE(scalar.ok());
-      ExpectVectorBitwiseEq(block->ExtractVector(b), scalar->scores,
-                            "threshold " + std::to_string(threshold) +
-                                " seed " + std::to_string(seeds[b]));
-    }
-  }
-}
-
-TEST(CpiRunBatchTest, ParallelDenseTailMatchesSerialBitwise) {
-  Graph graph = TestGraph();
-  const std::vector<NodeId> seeds = {1, 50, 399, 200};
-
-  CpiOptions serial_options;
-  serial_options.tolerance = 1e-6;  // long enough to reach the dense tail
-  auto serial = Cpi::RunBatch(graph, seeds, serial_options);
-  ASSERT_TRUE(serial.ok());
-
-  ThreadPool pool(3);
-  CpiOptions parallel_options = serial_options;
-  parallel_options.task_runner = &pool;
-  auto parallel = Cpi::RunBatch(graph, seeds, parallel_options);
-  ASSERT_TRUE(parallel.ok());
-  for (size_t b = 0; b < seeds.size(); ++b) {
-    ExpectVectorBitwiseEq(parallel->ExtractVector(b),
-                          serial->ExtractVector(b),
-                          "seed " + std::to_string(seeds[b]));
-  }
-}
-
-TEST(CpiRunBatchTest, ReusedWorkspaceMatchesFreshRuns) {
-  Graph graph = TestGraph();
-  Cpi::Workspace workspace;
-  CpiOptions options;
-  options.terminal_iteration = 4;
-
-  const std::vector<std::vector<NodeId>> batches = {
-      {0, 7}, {399}, {200, 200, 5}, {0, 7}};
-  for (const auto& seeds : batches) {
-    auto reused = Cpi::RunBatch(graph, seeds, options, &workspace);
-    auto fresh = Cpi::RunBatch(graph, seeds, options);
-    ASSERT_TRUE(reused.ok());
-    ASSERT_TRUE(fresh.ok());
-    for (size_t b = 0; b < seeds.size(); ++b) {
-      ExpectVectorBitwiseEq(reused->ExtractVector(b),
-                            fresh->ExtractVector(b),
-                            "batch seed " + std::to_string(seeds[b]));
-    }
   }
 }
 
 TEST(TpaQueryBatchTest, BitwiseMatchesSequentialQuery) {
   Graph graph = TestGraph();
-  auto tpa = Tpa::Preprocess(graph, {});
-  ASSERT_TRUE(tpa.ok());
-
-  const std::vector<NodeId> seeds = {0, 13, 250, 399, 13, 77};
-  auto block = tpa->QueryBatch(seeds);
-  ASSERT_TRUE(block.ok());
-  ASSERT_EQ(block->num_vectors(), seeds.size());
-  for (size_t b = 0; b < seeds.size(); ++b) {
-    ExpectVectorBitwiseEq(block->ExtractVector(b), tpa->Query(seeds[b]),
-                          "seed " + std::to_string(seeds[b]));
-  }
+  ExpectBatchMatchesSequentialQuery(graph, {}, {0, 13, 250, 399, 13, 77});
 }
 
 TEST(TpaQueryBatchTest, PullFlavorAlsoBitwise) {
   Graph graph = TestGraph(91);
   TpaOptions options;
   options.use_pull = true;
-  auto tpa = Tpa::Preprocess(graph, options);
-  ASSERT_TRUE(tpa.ok());
-
-  const std::vector<NodeId> seeds = {3, 42, 333};
-  auto block = tpa->QueryBatch(seeds);
-  ASSERT_TRUE(block.ok());
-  for (size_t b = 0; b < seeds.size(); ++b) {
-    ExpectVectorBitwiseEq(block->ExtractVector(b), tpa->Query(seeds[b]),
-                          "seed " + std::to_string(seeds[b]));
-  }
+  ExpectBatchMatchesSequentialQuery(graph, options, {3, 42, 333});
 }
 
 TEST(TpaQueryBatchTest, RejectsBadSeeds) {
   Graph graph = TestGraph();
   auto tpa = Tpa::Preprocess(graph, {});
   ASSERT_TRUE(tpa.ok());
-  EXPECT_FALSE(tpa->QueryBatch({}).ok());
-  const std::vector<NodeId> bad = {0, graph.num_nodes()};
-  EXPECT_EQ(tpa->QueryBatch(bad).status().code(), StatusCode::kOutOfRange);
-}
+  auto engine = QueryEngine::Create(graph, std::make_unique<TpaMethod>(), {});
+  ASSERT_TRUE(engine.ok());
 
-TEST(QueryBatchDenseTest, TpaMethodNativePathIsBitwise) {
-  Graph graph = TestGraph();
-  TpaMethod method;
-  MemoryBudget unlimited;
-  ASSERT_TRUE(method.Preprocess(graph, unlimited).ok());
-  EXPECT_TRUE(method.SupportsBatchQuery());
-
-  const std::vector<NodeId> seeds = {9, 99, 199};
-  auto block = method.QueryBatchDense(seeds);
-  ASSERT_TRUE(block.ok());
-  for (size_t b = 0; b < seeds.size(); ++b) {
-    auto scalar = method.Query(seeds[b]);
-    ASSERT_TRUE(scalar.ok());
-    ExpectVectorBitwiseEq(block->ExtractVector(b), *scalar,
+  EXPECT_TRUE(engine->QueryBatch({}).empty());
+  const std::vector<NodeId> seeds = {0, graph.num_nodes(), 5};
+  const std::vector<QueryResult> batch = engine->QueryBatch(seeds);
+  ASSERT_EQ(batch.size(), seeds.size());
+  EXPECT_EQ(batch[1].status.code(), StatusCode::kOutOfRange);
+  EXPECT_TRUE(batch[1].scores.empty());
+  for (size_t b : {size_t{0}, size_t{2}}) {
+    ASSERT_TRUE(batch[b].status.ok()) << batch[b].status;
+    ExpectVectorBitwiseEq(batch[b].scores, tpa->Query(seeds[b]),
                           "seed " + std::to_string(seeds[b]));
   }
-}
-
-TEST(QueryBatchDenseTest, PowerIterationNativePathIsBitwise) {
-  Graph graph = TestGraph();
-  PowerIterationRwr method;
-  MemoryBudget unlimited;
-  ASSERT_TRUE(method.Preprocess(graph, unlimited).ok());
-  EXPECT_TRUE(method.SupportsBatchQuery());
-
-  const std::vector<NodeId> seeds = {2, 77, 388};
-  auto block = method.QueryBatchDense(seeds);
-  ASSERT_TRUE(block.ok());
-  for (size_t b = 0; b < seeds.size(); ++b) {
-    auto scalar = method.Query(seeds[b]);
-    ASSERT_TRUE(scalar.ok());
-    ExpectVectorBitwiseEq(block->ExtractVector(b), *scalar,
-                          "seed " + std::to_string(seeds[b]));
-  }
-}
-
-TEST(QueryBatchDenseTest, DefaultLoopImplementationMatchesQuery) {
-  // BRPPR does not override QueryBatchDense; the base per-seed loop must
-  // return exactly what Query returns, vector for vector.
-  Graph graph = TestGraph();
-  auto method = CreateMethod("BRPPR", {});
-  ASSERT_TRUE(method.ok());
-  EXPECT_FALSE((*method)->SupportsBatchQuery());
-  MemoryBudget unlimited;
-  ASSERT_TRUE((*method)->Preprocess(graph, unlimited).ok());
-
-  const std::vector<NodeId> seeds = {4, 44};
-  auto block = (*method)->QueryBatchDense(seeds);
-  ASSERT_TRUE(block.ok());
-  ASSERT_EQ(block->num_vectors(), seeds.size());
-  for (size_t b = 0; b < seeds.size(); ++b) {
-    auto scalar = (*method)->Query(seeds[b]);
-    ASSERT_TRUE(scalar.ok());
-    ExpectVectorBitwiseEq(block->ExtractVector(b), *scalar,
-                          "seed " + std::to_string(seeds[b]));
-  }
-  EXPECT_FALSE((*method)->QueryBatchDense({}).ok());
-}
-
-TEST(QueryBatchDenseTest, FailsBeforePreprocess) {
-  TpaMethod tpa_method;
-  const std::vector<NodeId> seeds = {0};
-  EXPECT_EQ(tpa_method.QueryBatchDense(seeds).status().code(),
-            StatusCode::kFailedPrecondition);
-  PowerIterationRwr power;
-  EXPECT_EQ(power.QueryBatchDense(seeds).status().code(),
-            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

@@ -375,42 +375,46 @@ TEST(CpiAbortTest, ErrorBoundCoversTrueGapToConvergedOracle) {
 }
 
 TEST(CpiAbortTest, BatchAbortMatchesScalarAbortBitwise) {
+  // A batch of seeds served back to back through one shared workspace, the
+  // way a serving worker reuses its pooled workspace: seeds 1 and 3 abort at
+  // different iterations, 0 and 2 run to convergence after them.  An abort
+  // must leave nothing behind in the workspace — every result, aborted or
+  // converged, is bitwise the run of that seed alone on a fresh workspace.
   Graph graph = TestGraph();
   CpiOptions options;
   options.tolerance = 1e-12;
   const std::vector<NodeId> seeds = {7, 23, 99, 150};
+  const std::vector<int> abort_at = {-1, 2, -1, 5};
 
-  // Seeds 1 and 3 abort at different iterations; 0 and 2 run to
-  // convergence inside the same shared-SpMM batch.
-  AbortPlan plan1(2);
-  AbortPlan plan3(5);
-  const std::vector<QueryContext*> contexts = {nullptr, &plan1.context,
-                                               nullptr, &plan3.context};
-  auto block = Cpi::RunBatch(graph, seeds, options, nullptr, contexts);
-  ASSERT_TRUE(block.ok());
-  EXPECT_TRUE(plan1.context.aborted);
-  EXPECT_EQ(plan1.context.aborted_at_iteration, 2);
-  EXPECT_TRUE(plan3.context.aborted);
-  EXPECT_EQ(plan3.context.aborted_at_iteration, 5);
-
+  Cpi::Workspace shared;
   for (size_t b = 0; b < seeds.size(); ++b) {
-    AbortPlan scalar_plan(b == 1 ? 2 : 5);
+    AbortPlan batch_plan(abort_at[b]);
+    QueryContext* batch_context =
+        abort_at[b] >= 0 ? &batch_plan.context : nullptr;
+    auto batch = Cpi::Run(graph, {seeds[b]}, options, &shared, batch_context);
+    ASSERT_TRUE(batch.ok());
+
+    AbortPlan scalar_plan(abort_at[b]);
     QueryContext* scalar_context =
-        (b == 1 || b == 3) ? &scalar_plan.context : nullptr;
-    auto scalar =
-        Cpi::Run(graph, {seeds[b]}, options, nullptr, scalar_context);
+        abort_at[b] >= 0 ? &scalar_plan.context : nullptr;
+    auto scalar = Cpi::Run(graph, {seeds[b]}, options, nullptr,
+                           scalar_context);
     ASSERT_TRUE(scalar.ok());
+
+    EXPECT_EQ(batch->converged, scalar->converged) << "seed " << seeds[b];
+    EXPECT_EQ(batch->abort_code, scalar->abort_code) << "seed " << seeds[b];
+    ASSERT_EQ(batch->scores.size(), scalar->scores.size());
     for (NodeId r = 0; r < graph.num_nodes(); ++r) {
-      ASSERT_EQ(block->At(r, b), scalar->scores[r])
+      ASSERT_EQ(batch->scores[r], scalar->scores[r])
           << "seed " << seeds[b] << " node " << r;
     }
+    if (batch_context != nullptr) {
+      EXPECT_TRUE(batch_plan.context.aborted);
+      EXPECT_EQ(batch_plan.context.aborted_at_iteration, abort_at[b]);
+      EXPECT_EQ(batch_plan.context.error_bound,
+                scalar_plan.context.error_bound);
+    }
   }
-  // The batch records per-seed bounds identical to the scalar runs'.
-  AbortPlan scalar1(2);
-  auto scalar = Cpi::Run(graph, {seeds[1]}, options, nullptr,
-                         &scalar1.context);
-  ASSERT_TRUE(scalar.ok());
-  EXPECT_EQ(plan1.context.error_bound, scalar1.context.error_bound);
 }
 
 TEST(CpiAbortTest, ConvergenceOutranksAbort) {

@@ -44,6 +44,10 @@ TierPair MakeTierPair(uint64_t seed = 7) {
 }
 
 TEST(CpiPrecisionTest, Fp32BatchMatchesFp32ScalarBitwise) {
+  // A batch of fp32 seeds run back to back through one shared workspace
+  // (its fp32 buffers and frontier scratch recycled from seed to seed) is
+  // bitwise the per-seed runs on fresh workspaces, on the dense, adaptive
+  // and always-sparse frontier settings.
   const TierPair graphs = MakeTierPair();
   const std::vector<NodeId> seeds = {3, 141, 7, 399, 27, 555, 0, 88};
 
@@ -51,17 +55,16 @@ TEST(CpiPrecisionTest, Fp32BatchMatchesFp32ScalarBitwise) {
     CpiOptions options;
     options.tolerance = 1e-8;
     options.frontier_density_threshold = threshold;
-    auto batch = Cpi::RunBatchT<float>(graphs.fp32, seeds, options);
-    ASSERT_TRUE(batch.ok());
-    for (size_t b = 0; b < seeds.size(); ++b) {
-      auto scalar = Cpi::RunT<float>(graphs.fp32, {seeds[b]}, options);
+    Cpi::Workspace shared;
+    for (NodeId seed : seeds) {
+      auto batch = Cpi::RunT<float>(graphs.fp32, {seed}, options, &shared);
+      ASSERT_TRUE(batch.ok());
+      auto scalar = Cpi::RunT<float>(graphs.fp32, {seed}, options);
       ASSERT_TRUE(scalar.ok());
-      const std::vector<float> column = batch->ExtractVector(b);
-      ASSERT_EQ(column.size(), scalar->scores.size());
-      for (size_t i = 0; i < column.size(); ++i) {
-        ASSERT_EQ(column[i], scalar->scores[i])
-            << "threshold " << threshold << " seed " << seeds[b] << " node "
-            << i;
+      ASSERT_EQ(batch->scores.size(), scalar->scores.size());
+      for (size_t i = 0; i < scalar->scores.size(); ++i) {
+        ASSERT_EQ(batch->scores[i], scalar->scores[i])
+            << "threshold " << threshold << " seed " << seed << " node " << i;
       }
     }
   }
@@ -169,16 +172,12 @@ TEST(TpaPrecisionTest, Fp32QuerySurfacesAreConsistent) {
     ASSERT_EQ(widened[i], static_cast<double>(native[i])) << i;
   }
 
-  const std::vector<NodeId> seeds = {123, 4, 577};
-  auto batch = tpa->QueryBatchF(seeds);
-  ASSERT_TRUE(batch.ok());
-  for (size_t b = 0; b < seeds.size(); ++b) {
-    const std::vector<float> column = batch->ExtractVector(b);
-    const std::vector<float> scalar = tpa->QueryF(seeds[b]);
-    ASSERT_EQ(column.size(), scalar.size());
-    for (size_t i = 0; i < column.size(); ++i) {
-      ASSERT_EQ(column[i], scalar[i]) << "seed " << seeds[b] << " node " << i;
-    }
+  // The Status-returning personalized path the engines serve through is
+  // bitwise QueryF for a single seed.
+  for (NodeId s : {NodeId{123}, NodeId{4}, NodeId{577}}) {
+    auto personalized = tpa->QueryPersonalizedF({s});
+    ASSERT_TRUE(personalized.ok());
+    EXPECT_EQ(*personalized, tpa->QueryF(s)) << "seed " << s;
   }
 
   // The decomposition widens the same fp32 parts.

@@ -111,7 +111,6 @@ TEST(AsyncQueryEngineTest, MultiClientSubmitWaitMatchesSequentialBitwise) {
 
     QueryEngineOptions engine_options;
     engine_options.num_threads = 4;
-    engine_options.batch_block_size = 4;
     auto async = AsyncQueryEngine::CreateFromRegistry(graph, name, config,
                                                       engine_options);
     ASSERT_TRUE(async.ok()) << async.status();
@@ -164,7 +163,6 @@ TEST(AsyncQueryEngineTest, AsyncMatchesBlockingQueryBatchBitwise) {
 
   QueryEngineOptions engine_options;
   engine_options.num_threads = 2;
-  engine_options.batch_block_size = 8;
   auto blocking = QueryEngine::Create(graph, std::make_unique<TpaMethod>(),
                                       engine_options);
   ASSERT_TRUE(blocking.ok());
@@ -186,12 +184,55 @@ TEST(AsyncQueryEngineTest, AsyncMatchesBlockingQueryBatchBitwise) {
     }
   }
 
-  // The burst outpaces service on the shared engine, so at least some
-  // dispatches must have coalesced several tickets into one group job.
+  // Even though the burst outpaces service, every serving job carries
+  // exactly one ticket.
   const auto stats = (*async)->stats();
   EXPECT_EQ(stats.completed, seeds.size());
   EXPECT_EQ(stats.seeds_dispatched, seeds.size());
-  EXPECT_LT(stats.groups_dispatched, stats.seeds_dispatched);
+  EXPECT_EQ(stats.groups_dispatched, stats.seeds_dispatched);
+}
+
+TEST(AsyncQueryEngineTest, TicketCompletesAsSoonAsItIsServed) {
+  // One worker thread, so one serving job at a time.  Ticket A's callback
+  // holds the only job slot until the gate opens; B, C and D queue up
+  // behind it.  When B's callback fires, B is complete while C has not
+  // even been claimed: no ticket waits for another ticket's query.
+  Graph graph = ServingGraph();
+  QueryEngineOptions engine_options;
+  engine_options.num_threads = 1;
+  auto async = AsyncQueryEngine::Create(graph, std::make_unique<TpaMethod>(),
+                                        engine_options);
+  ASSERT_TRUE(async.ok());
+
+  auto gate = std::make_shared<GateMethod::Gate>();
+  SubmitOptions hold;
+  hold.on_complete = [gate](const QueryResult&) { gate->Await(); };
+  QueryTicket a = (*async)->Submit(1, hold);
+  AwaitDispatched(a);
+
+  QueryTicket c;
+  std::atomic<bool> b_served{false};
+  std::atomic<bool> c_queued_at_b{false};
+  SubmitOptions observe;
+  observe.on_complete = [&](const QueryResult& result) {
+    b_served.store(result.status.ok());
+    c_queued_at_b.store(c.state() == QueryTicket::State::kQueued);
+  };
+  QueryTicket b = (*async)->Submit(2, observe);
+  c = (*async)->Submit(3);
+  QueryTicket d = (*async)->Submit(4);
+  EXPECT_EQ(b.state(), QueryTicket::State::kQueued);
+  gate->Open();
+
+  for (const QueryTicket& ticket : {a, b, c, d}) {
+    ASSERT_TRUE(ticket.WaitFor(kWaitBudget));
+    EXPECT_TRUE(ticket.Wait().status.ok()) << ticket.Wait().status;
+  }
+  EXPECT_TRUE(b_served.load());
+  EXPECT_TRUE(c_queued_at_b.load());
+  const auto stats = (*async)->stats();
+  EXPECT_EQ(stats.groups_dispatched, 4u);
+  EXPECT_EQ(stats.seeds_dispatched, 4u);
 }
 
 TEST(AsyncQueryEngineTest, DeadlineExpiryIsDistinctAndDoesNotCorruptLater) {
@@ -513,7 +554,6 @@ TEST(AsyncQueryEngineTest, CompletionCallbacksFireExactlyOncePerTicket) {
   Graph graph = ServingGraph();
   QueryEngineOptions engine_options;
   engine_options.num_threads = 2;
-  engine_options.batch_block_size = 4;
   auto async = AsyncQueryEngine::Create(graph, std::make_unique<TpaMethod>(),
                                         engine_options);
   ASSERT_TRUE(async.ok());
@@ -580,17 +620,42 @@ TEST(AsyncQueryEngineTest, ValidatesOptions) {
   EXPECT_FALSE(AsyncQueryEngine::Create(graph, nullptr, {}, {}).ok());
   EXPECT_FALSE(
       AsyncQueryEngine::CreateFromRegistry(graph, "NoSuchMethod").ok());
+
+  // CreateFromRegistry rejects the same options, on its plain path and on
+  // its fp32 shed path (which builds the engines itself).
+  AsyncQueryEngineOptions bad_watermark;
+  bad_watermark.degradation.enabled = true;
+  bad_watermark.degradation.queue_watermark = 1.5;
+  for (bool shed : {false, true}) {
+    for (AsyncQueryEngineOptions bad :
+         {bad_capacity, bad_inflight, bad_watermark}) {
+      if (shed) {
+        bad.degradation.enabled = true;
+        bad.degradation.shed_to_fp32 = true;
+      }
+      auto engine =
+          AsyncQueryEngine::CreateFromRegistry(graph, "TPA", {}, {}, bad);
+      ASSERT_FALSE(engine.ok()) << "shed " << shed;
+      EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+  // Control: valid shed options over the same fp64 graph build fine, so the
+  // rejections above come from validation.
+  AsyncQueryEngineOptions shed;
+  shed.degradation.enabled = true;
+  shed.degradation.shed_to_fp32 = true;
+  EXPECT_TRUE(
+      AsyncQueryEngine::CreateFromRegistry(graph, "TPA", {}, {}, shed).ok());
 }
 
 TEST(AsyncQueryEngineTest, WorkspacePopulationStaysWithinPoolSize) {
-  // Regression for the ROADMAP-known limit: group jobs hopping between pool
-  // workers used to re-warm one thread-local Cpi::Workspace each; the
+  // Regression for the ROADMAP-known limit: serving jobs hopping between
+  // pool workers used to re-warm one thread-local Cpi::Workspace each; the
   // shared checkout pool must instead bound the population by concurrency —
-  // at most one workspace per worker thread, no matter how many groups ran.
+  // at most one workspace per worker thread, no matter how many jobs ran.
   Graph graph = ServingGraph();
   QueryEngineOptions engine_options;
   engine_options.num_threads = 2;
-  engine_options.batch_block_size = 4;
   auto method = std::make_unique<TpaMethod>();
   const TpaMethod* tpa_method = method.get();
   auto async = AsyncQueryEngine::Create(graph, std::move(method),
@@ -598,7 +663,7 @@ TEST(AsyncQueryEngineTest, WorkspacePopulationStaysWithinPoolSize) {
   ASSERT_TRUE(async.ok());
 
   std::vector<QueryTicket> tickets;
-  for (int i = 0; i < 200; ++i) {  // many more groups than workers
+  for (int i = 0; i < 200; ++i) {  // many more jobs than workers
     tickets.push_back(
         (*async)->Submit(static_cast<NodeId>((i * 13) % graph.num_nodes())));
   }

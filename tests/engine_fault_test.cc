@@ -196,7 +196,6 @@ TEST_F(EngineFaultTest, FailpointStormKeepsServingAndAccountingExact) {
   Graph graph = ServingGraph();
   QueryEngineOptions engine_options;
   engine_options.num_threads = 4;
-  engine_options.batch_block_size = 4;
   AsyncQueryEngineOptions async_options;
   async_options.queue_capacity = 64;
   async_options.max_inflight_jobs = 4;
@@ -206,7 +205,7 @@ TEST_F(EngineFaultTest, FailpointStormKeepsServingAndAccountingExact) {
   ASSERT_TRUE(async.ok());
 
   // Every fault kind at once, hitting deterministic windows of the load:
-  // workspace-checkout errors, serving-boundary throws, whole-chunk
+  // workspace-checkout errors, serving-boundary throws, serving-job
   // faults, and propagation delays that let queued deadlines expire.
   ArmFailpoint("tpa.workspace_checkout",
                FailpointAction::Error(ResourceExhaustedError("injected")),

@@ -1,8 +1,8 @@
 /// Engine-level fp32 serving coverage: the halved-footprint path through
 /// QueryEngine / AsyncQueryEngine — fp32 dense results, fp32 cache entries
 /// at half the bytes, top-k-only cache entries at O(k) bytes, tier
-/// isolation in the cache, the precision-aware kAuto resolution, and the
-/// refusal to run fp64-only methods on an fp32 graph.
+/// isolation in the cache, and the refusal to run fp64-only methods on an
+/// fp32 graph.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "graph/graph.h"
 #include "la/precision.h"
 #include "method/tpa_method.h"
-#include "util/cache_info.h"
 #include "util/check.h"
 
 namespace tpa {
@@ -46,7 +45,6 @@ TEST(EnginePrecisionTest, Fp32EngineServesNativeFp32Dense) {
   const TierPair graphs = ServingGraphs();
   QueryEngineOptions options;
   options.num_threads = 2;
-  options.batch_block_size = 0;
   auto engine = QueryEngine::Create(graphs.fp32,
                                     std::make_unique<TpaMethod>(), options);
   ASSERT_TRUE(engine.ok()) << engine.status();
@@ -69,37 +67,40 @@ TEST(EnginePrecisionTest, Fp32EngineServesNativeFp32Dense) {
 }
 
 TEST(EnginePrecisionTest, Fp32BatchAndGroupPathsMatchPerSeedBitwise) {
+  // Both multi-seed fp32 serving paths against per-seed Query: the
+  // blocking engine's QueryBatch fan-out, and the async engine's serving
+  // jobs (each a group of exactly one seed, counted by groups_dispatched).
   const TierPair graphs = ServingGraphs(11);
   const std::vector<NodeId> seeds = {5, 123, 5, 499, 0, 321, 77, 9, 250};
 
-  QueryEngineOptions per_seed;
-  per_seed.num_threads = 2;
-  per_seed.batch_block_size = 0;
-  auto baseline = QueryEngine::Create(graphs.fp32,
-                                      std::make_unique<TpaMethod>(), per_seed);
-  ASSERT_TRUE(baseline.ok());
+  QueryEngineOptions options;
+  options.num_threads = 2;
+  auto engine = QueryEngine::Create(graphs.fp32,
+                                    std::make_unique<TpaMethod>(), options);
+  ASSERT_TRUE(engine.ok());
+  auto async = AsyncQueryEngine::Create(graphs.fp32,
+                                        std::make_unique<TpaMethod>(), options);
+  ASSERT_TRUE(async.ok());
 
-  QueryEngineOptions grouped;
-  grouped.num_threads = 2;
-  grouped.batch_block_size = 4;
-  auto spmm = QueryEngine::Create(graphs.fp32, std::make_unique<TpaMethod>(),
-                                  grouped);
-  ASSERT_TRUE(spmm.ok());
-
-  const std::vector<QueryResult> a = baseline->QueryBatch(seeds);
-  const std::vector<QueryResult> b = spmm->QueryBatch(seeds);
-  ASSERT_EQ(a.size(), seeds.size());
-  ASSERT_EQ(b.size(), seeds.size());
+  const std::vector<QueryResult> batch = engine->QueryBatch(seeds);
+  std::vector<QueryTicket> tickets;
+  for (NodeId seed : seeds) tickets.push_back((*async)->Submit(seed));
+  ASSERT_EQ(batch.size(), seeds.size());
   for (size_t i = 0; i < seeds.size(); ++i) {
-    ASSERT_TRUE(a[i].status.ok());
-    ASSERT_TRUE(b[i].status.ok());
-    const QueryResult solo = baseline->Query(seeds[i]);
-    ASSERT_EQ(a[i].scores_f32.size(), solo.scores_f32.size());
+    ASSERT_TRUE(batch[i].status.ok());
+    const QueryResult& grouped = tickets[i].Wait();
+    ASSERT_TRUE(grouped.status.ok()) << grouped.status;
+    const QueryResult solo = engine->Query(seeds[i]);
+    ASSERT_EQ(batch[i].scores_f32.size(), solo.scores_f32.size());
+    ASSERT_EQ(grouped.scores_f32.size(), solo.scores_f32.size());
     for (size_t j = 0; j < solo.scores_f32.size(); ++j) {
-      ASSERT_EQ(a[i].scores_f32[j], solo.scores_f32[j]) << i << "," << j;
-      ASSERT_EQ(b[i].scores_f32[j], solo.scores_f32[j]) << i << "," << j;
+      ASSERT_EQ(batch[i].scores_f32[j], solo.scores_f32[j]) << i << "," << j;
+      ASSERT_EQ(grouped.scores_f32[j], solo.scores_f32[j]) << i << "," << j;
     }
   }
+  const auto stats = (*async)->stats();
+  EXPECT_EQ(stats.seeds_dispatched, seeds.size());
+  EXPECT_EQ(stats.groups_dispatched, stats.seeds_dispatched);
 }
 
 TEST(EnginePrecisionTest, Fp32TopKMatchesWidenedRanking) {
@@ -254,29 +255,6 @@ TEST(EnginePrecisionTest, DenseRequestBypassesAndRefreshesTopKOnlyEntry) {
   EXPECT_FALSE(refreshed->topk_only);
 }
 
-TEST(EnginePrecisionTest, KAutoResolvesFromMaterializedCsrBytes) {
-  // The kAuto heuristic keys on the actual (precision-dependent) CSR bytes
-  // and sizes the group so one block row fills a 64-byte cache line: 8
-  // seeds at fp64, 16 at fp32.  Both tiers of the same graph must resolve
-  // exactly per the documented rule against the detected LLC.
-  const TierPair graphs = ServingGraphs(23);
-  ASSERT_LT(graphs.fp32.SizeBytes(), graphs.fp64.SizeBytes());
-
-  for (const Graph* graph : {&graphs.fp64, &graphs.fp32}) {
-    QueryEngineOptions options;
-    options.num_threads = 1;
-    options.batch_block_size = QueryEngineOptions::kAuto;
-    auto engine =
-        QueryEngine::Create(*graph, std::make_unique<TpaMethod>(), options);
-    ASSERT_TRUE(engine.ok());
-    const int line_width =
-        graph->value_precision() == la::Precision::kFloat32 ? 16 : 8;
-    const int expected =
-        graph->SizeBytes() > DetectLastLevelCacheBytes() ? line_width : 0;
-    EXPECT_EQ(engine->options().batch_block_size, expected);
-  }
-}
-
 TEST(EnginePrecisionTest, Fp64OnlyMethodsAreRefusedOnFp32Graphs) {
   const TierPair graphs = ServingGraphs(29);
   // FORA has no fp32 path; Create must refuse up front instead of letting
@@ -294,7 +272,6 @@ TEST(EnginePrecisionTest, AsyncServesFp32BitwiseWithBlockingPath) {
   const TierPair graphs = ServingGraphs(31);
   QueryEngineOptions engine_options;
   engine_options.num_threads = 2;
-  engine_options.batch_block_size = 4;
 
   auto async = AsyncQueryEngine::Create(
       graphs.fp32, std::make_unique<TpaMethod>(), engine_options);
@@ -332,7 +309,6 @@ TEST(EnginePrecisionTest, DualTierServingSharesOneTopology) {
 
   QueryEngineOptions options;
   options.num_threads = 2;
-  options.batch_block_size = 0;
   auto engine64 = QueryEngine::Create(graphs.fp64,
                                       std::make_unique<TpaMethod>(), options);
   auto engine32 = QueryEngine::Create(graphs.fp32,
@@ -386,32 +362,27 @@ TEST(EnginePrecisionTest, ValueFreeGraphServesBitwiseIdenticalResults) {
   const Graph value_free =
       RebuildWithStorage(*generated, ValueStorage::kRowConstant);
   ASSERT_EQ(value_free.value_storage(), ValueStorage::kRowConstant);
-  // The value-free twin drops the 2·nnz fp64 values for n column scales —
-  // the footprint the kAuto threshold keys on.
+  // The value-free twin drops the 2·nnz fp64 values for n column scales.
   ASSERT_LT(value_free.SizeBytes(), explicit_graph.SizeBytes());
 
   QueryEngineOptions options;
   options.num_threads = 2;
-  for (int batch_block_size : {0, 4}) {
-    options.batch_block_size = batch_block_size;
-    auto baseline = QueryEngine::Create(
-        explicit_graph, std::make_unique<TpaMethod>(), options);
-    auto engine = QueryEngine::Create(value_free,
+  auto baseline = QueryEngine::Create(explicit_graph,
                                       std::make_unique<TpaMethod>(), options);
-    ASSERT_TRUE(baseline.ok() && engine.ok());
+  auto engine =
+      QueryEngine::Create(value_free, std::make_unique<TpaMethod>(), options);
+  ASSERT_TRUE(baseline.ok() && engine.ok());
 
-    const std::vector<NodeId> seeds = {5, 123, 399, 0, 321, 77, 9, 250};
-    const std::vector<QueryResult> expected = baseline->QueryBatch(seeds);
-    const std::vector<QueryResult> got = engine->QueryBatch(seeds);
-    ASSERT_EQ(got.size(), expected.size());
-    for (size_t q = 0; q < expected.size(); ++q) {
-      ASSERT_TRUE(got[q].status.ok());
-      ASSERT_EQ(got[q].scores.size(), expected[q].scores.size());
-      for (size_t i = 0; i < expected[q].scores.size(); ++i) {
-        ASSERT_EQ(got[q].scores[i], expected[q].scores[i])
-            << "block " << batch_block_size << " seed " << seeds[q]
-            << " node " << i;
-      }
+  const std::vector<NodeId> seeds = {5, 123, 399, 0, 321, 77, 9, 250};
+  const std::vector<QueryResult> expected = baseline->QueryBatch(seeds);
+  const std::vector<QueryResult> got = engine->QueryBatch(seeds);
+  ASSERT_EQ(got.size(), expected.size());
+  for (size_t q = 0; q < expected.size(); ++q) {
+    ASSERT_TRUE(got[q].status.ok());
+    ASSERT_EQ(got[q].scores.size(), expected[q].scores.size());
+    for (size_t i = 0; i < expected[q].scores.size(); ++i) {
+      ASSERT_EQ(got[q].scores[i], expected[q].scores[i])
+          << "seed " << seeds[q] << " node " << i;
     }
   }
 }

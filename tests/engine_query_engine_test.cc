@@ -3,21 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <latch>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/tpa.h"
-#include "engine/thread_pool.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "la/vector_ops.h"
 #include "method/registry.h"
 #include "method/tpa_method.h"
-#include "util/cache_info.h"
 #include "util/check.h"
 
 namespace tpa {
@@ -214,51 +210,18 @@ TEST(QueryEngineTest, ValidatesOptions) {
       QueryEngine::Create(graph, std::make_unique<TpaMethod>(), bad).ok());
 }
 
-TEST(QueryEngineTest, SpmmGroupingBitwiseMatchesPerSeedFanOut) {
-  Graph graph = ServingGraph();
-  std::vector<NodeId> seeds;
-  for (int i = 0; i < 60; ++i) {
-    seeds.push_back(static_cast<NodeId>((i * 41) % graph.num_nodes()));
-  }
-
-  QueryEngineOptions per_seed;
-  per_seed.num_threads = 4;
-  per_seed.batch_block_size = 0;  // per-seed fan-out
-  auto baseline =
-      QueryEngine::Create(graph, std::make_unique<TpaMethod>(), per_seed);
-  ASSERT_TRUE(baseline.ok());
-  auto expected = baseline->QueryBatch(seeds);
-
-  for (int block_size : {2, 8, 64}) {
-    QueryEngineOptions grouped;
-    grouped.num_threads = 4;
-    grouped.batch_block_size = block_size;
-    auto engine =
-        QueryEngine::Create(graph, std::make_unique<TpaMethod>(), grouped);
-    ASSERT_TRUE(engine.ok());
-    auto results = engine->QueryBatch(seeds);
-    ASSERT_EQ(results.size(), expected.size());
-    for (size_t i = 0; i < seeds.size(); ++i) {
-      ASSERT_TRUE(results[i].status.ok());
-      EXPECT_EQ(results[i].scores, expected[i].scores)
-          << "block size " << block_size << " seed " << seeds[i];
-    }
-  }
-}
-
-TEST(QueryEngineTest, SpmmGroupingHandlesCacheHitsErrorsAndTopK) {
+TEST(QueryEngineTest, BatchMixesCacheHitsErrorsAndTopK) {
   Graph graph = ServingGraph();
   QueryEngineOptions options;
   options.num_threads = 4;
-  options.batch_block_size = 4;
   options.top_k = 10;
   options.cache_capacity = 64;
   auto engine =
       QueryEngine::Create(graph, std::make_unique<TpaMethod>(), options);
   ASSERT_TRUE(engine.ok());
 
-  // Warm a few seeds so the grouped batch mixes hits, misses, and an
-  // invalid slot.
+  // Warm a few seeds so the batch mixes hits, misses, and an invalid
+  // slot.
   engine->QueryBatch({10, 20, 30});
   std::vector<NodeId> mixed = {10, 1, 20, graph.num_nodes(), 2, 30, 3, 4, 5};
   auto results = engine->QueryBatch(mixed);
@@ -274,7 +237,7 @@ TEST(QueryEngineTest, SpmmGroupingHandlesCacheHitsErrorsAndTopK) {
     EXPECT_EQ(results[i].top.size(), 10u);
   }
 
-  // Every served seed (hit or grouped miss) agrees with a direct query.
+  // Every served seed (hit or miss) agrees with a direct query.
   auto tpa = Tpa::Preprocess(graph, {});
   ASSERT_TRUE(tpa.ok());
   for (size_t i = 0; i < mixed.size(); ++i) {
@@ -301,7 +264,6 @@ TEST_P(RegistryBatchTest, BatchEqualsSequential) {
 
   QueryEngineOptions options;
   options.num_threads = 1;
-  options.batch_block_size = 4;
 
   auto sequential =
       QueryEngine::CreateFromRegistry(graph, GetParam(), config, options);
@@ -385,45 +347,10 @@ TEST(QueryEngineTest, EntryAndByteCapsComposeAndStatsReportBytes) {
   EXPECT_EQ(stats.bytes, 2 * entry_bytes);
 }
 
-TEST(QueryEngineTest, AutoBatchBlockSizeFollowsCacheHeuristic) {
-  Graph graph = ServingGraph();
-  // Default (kAuto) resolves at Create time: 8 when the CSR arrays exceed
-  // the LLC, 0 (per-seed) when cache-resident.
-  auto auto_engine =
-      QueryEngine::Create(graph, std::make_unique<TpaMethod>(), {});
-  ASSERT_TRUE(auto_engine.ok());
-  const int expected =
-      graph.SizeBytes() > DetectLastLevelCacheBytes() ? 8 : 0;
-  EXPECT_EQ(auto_engine->options().batch_block_size, expected);
-
-  // Methods without a native batch path always resolve to per-seed.
-  auto method = CreateMethod("BRPPR", {});
-  ASSERT_TRUE(method.ok());
-  auto no_batch = QueryEngine::Create(graph, std::move(*method), {});
-  ASSERT_TRUE(no_batch.ok());
-  EXPECT_EQ(no_batch->options().batch_block_size, 0);
-
-  // Explicit values are the escape hatch and pass through untouched.
-  for (int forced : {0, 1, 5}) {
-    QueryEngineOptions options;
-    options.batch_block_size = forced;
-    auto engine =
-        QueryEngine::Create(graph, std::make_unique<TpaMethod>(), options);
-    ASSERT_TRUE(engine.ok());
-    EXPECT_EQ(engine->options().batch_block_size, forced);
-  }
-
-  QueryEngineOptions invalid;
-  invalid.batch_block_size = -2;
-  EXPECT_FALSE(
-      QueryEngine::Create(graph, std::make_unique<TpaMethod>(), invalid)
-          .ok());
-}
-
 TEST(QueryEngineTest, ReorderedGraphServesOriginalNodeIds) {
   // Engines over the original and a hub-reordered build of the same edges
   // must be indistinguishable to clients: same dense vectors, same top-k
-  // ids, across the per-seed, SpMM-group, and cache-hit paths.
+  // ids, on both the computed and the cache-hit paths.
   Graph original = ServingGraph();
   std::vector<std::pair<NodeId, NodeId>> edges;
   for (NodeId u = 0; u < original.num_nodes(); ++u) {
@@ -437,17 +364,15 @@ TEST(QueryEngineTest, ReorderedGraphServesOriginalNodeIds) {
   ASSERT_TRUE(reordered.ok());
   ASSERT_NE(reordered->permutation(), nullptr);
 
-  const std::vector<NodeId> seeds = {0, 13, 250, 499, 13, 77};
-  for (int batch_block : {0, 3}) {
+  {
+    const std::vector<NodeId> seeds = {0, 13, 250, 499, 13, 77};
     QueryEngineOptions options;
     options.num_threads = 2;
-    options.batch_block_size = batch_block;
     options.cache_capacity = 8;
-    auto base = QueryEngine::Create(original, std::make_unique<TpaMethod>(),
-                                    options);
-    auto permuted = QueryEngine::Create(*reordered,
-                                        std::make_unique<TpaMethod>(),
-                                        options);
+    auto base =
+        QueryEngine::Create(original, std::make_unique<TpaMethod>(), options);
+    auto permuted =
+        QueryEngine::Create(*reordered, std::make_unique<TpaMethod>(), options);
     ASSERT_TRUE(base.ok());
     ASSERT_TRUE(permuted.ok());
 
@@ -461,8 +386,7 @@ TEST(QueryEngineTest, ReorderedGraphServesOriginalNodeIds) {
         ASSERT_EQ(results[i].scores.size(), expected[i].scores.size());
         for (size_t j = 0; j < expected[i].scores.size(); ++j) {
           ASSERT_NEAR(results[i].scores[j], expected[i].scores[j], 1e-12)
-              << "block " << batch_block << " seed " << seeds[i] << " node "
-              << j;
+              << "pass " << pass << " seed " << seeds[i] << " node " << j;
         }
       }
     }
@@ -485,33 +409,6 @@ TEST(QueryEngineTest, ReorderedGraphServesOriginalNodeIds) {
     EXPECT_EQ(got.top[k].node, expected.top[k].node) << "rank " << k;
     EXPECT_NEAR(got.top[k].score, expected.top[k].score, 1e-12);
   }
-}
-
-TEST(ThreadPoolTest, ParallelForRunsEveryTaskExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> counts(64);
-  pool.ParallelFor(64, [&](size_t i) { counts[i].fetch_add(1); });
-  for (size_t i = 0; i < counts.size(); ++i) {
-    EXPECT_EQ(counts[i].load(), 1) << "task " << i;
-  }
-  pool.ParallelFor(0, [&](size_t) { FAIL() << "no tasks expected"; });
-}
-
-TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
-  // Saturate the pool with jobs that each fork their own ParallelFor —
-  // the caller-participation guarantee must keep everything moving even
-  // though no worker is free to help.
-  ThreadPool pool(2);
-  std::atomic<int> total{0};
-  std::latch done(4);
-  for (int j = 0; j < 4; ++j) {
-    pool.Submit([&] {
-      pool.ParallelFor(8, [&](size_t) { total.fetch_add(1); });
-      done.count_down();
-    });
-  }
-  done.wait();
-  EXPECT_EQ(total.load(), 32);
 }
 
 TEST(TopKScoresTest, ClampsAndBreaksTies) {

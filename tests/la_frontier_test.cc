@@ -4,12 +4,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "engine/thread_pool.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "la/csr_matrix.h"
-#include "la/dense_block.h"
-#include "la/task_runner.h"
 #include "util/check.h"
 #include "util/random.h"
 
@@ -32,17 +29,6 @@ void ExpectBitwiseEq(const std::vector<double>& got,
   ASSERT_EQ(got.size(), expected.size()) << label;
   for (size_t i = 0; i < expected.size(); ++i) {
     ASSERT_EQ(got[i], expected[i]) << label << " entry " << i;
-  }
-}
-
-void ExpectBlockBitwiseEq(const la::DenseBlock& got,
-                          const la::DenseBlock& expected,
-                          const std::string& label) {
-  ASSERT_EQ(got.rows(), expected.rows()) << label;
-  ASSERT_EQ(got.num_vectors(), expected.num_vectors()) << label;
-  for (size_t b = 0; b < expected.num_vectors(); ++b) {
-    ExpectBitwiseEq(got.ExtractVector(b), expected.ExtractVector(b),
-                    label + " vector " + std::to_string(b));
   }
 }
 
@@ -148,49 +134,6 @@ TEST_P(FrontierKernelTest, DenseFallthroughAboveThreshold) {
   EXPECT_TRUE(next_frontier.empty());
 }
 
-TEST_P(FrontierKernelTest, SpMmMatchesDenseBitwiseAcrossWidths) {
-  Graph graph = TestGraph(GetParam());
-  const la::CsrMatrix& csr = graph.Transition();
-  const uint32_t n = csr.rows();
-  Rng rng(GetParam());
-
-  // Widths through the specialized range plus one generic (> 16).
-  for (size_t width : {size_t{1}, size_t{2}, size_t{3}, size_t{8},
-                       size_t{16}, size_t{17}}) {
-    la::DenseBlock x(n, width);
-    std::vector<uint32_t> frontier;
-    for (size_t b = 0; b < width; ++b) {
-      // Distinct small supports per vector; the union is the frontier.
-      for (int k = 0; k < 4; ++k) {
-        const auto i = static_cast<uint32_t>(rng.NextUint64() % n);
-        x.At(i, b) = rng.NextDouble() + 0.1;
-        frontier.push_back(i);
-      }
-    }
-    std::sort(frontier.begin(), frontier.end());
-    frontier.erase(std::unique(frontier.begin(), frontier.end()),
-                   frontier.end());
-
-    la::DenseBlock dense;
-    csr.SpMmTranspose(x, dense);
-
-    la::DenseBlock sparse(n, width);
-    std::vector<uint32_t> next_frontier;
-    la::FrontierScratch scratch;
-    ASSERT_TRUE(csr.SpMmTransposeFrontier(x, frontier, 1.0, sparse,
-                                          next_frontier, scratch));
-    ExpectBlockBitwiseEq(sparse, dense, "width " + std::to_string(width));
-    ASSERT_TRUE(std::is_sorted(next_frontier.begin(), next_frontier.end()));
-
-    la::DenseBlock fell;
-    std::vector<uint32_t> ignored;
-    EXPECT_FALSE(csr.SpMmTransposeFrontier(x, frontier, 0.0, fell, ignored,
-                                           scratch));
-    ExpectBlockBitwiseEq(fell, dense,
-                         "fallthrough width " + std::to_string(width));
-  }
-}
-
 TEST_P(FrontierKernelTest, RecycledBufferChainMatchesDense) {
   // The CPI usage pattern: propagate a chain of frontier scatters, clearing
   // only the previously-emitted frontier of the recycled buffer between
@@ -224,107 +167,6 @@ TEST_P(FrontierKernelTest, RecycledBufferChainMatchesDense) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FrontierKernelTest,
-                         ::testing::Values(1u, 7u, 42u));
-
-class RangeKernelTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(RangeKernelTest, ColumnRangesAreValidPartitions) {
-  Graph graph = TestGraph(GetParam());
-  const la::CsrMatrix& csr = graph.Transition();
-  for (size_t parts : {size_t{1}, size_t{2}, size_t{5}, size_t{32}}) {
-    const std::vector<uint32_t> boundaries =
-        csr.NnzBalancedColumnRanges(parts);
-    ASSERT_EQ(boundaries.size(), parts + 1);
-    EXPECT_EQ(boundaries.front(), 0u);
-    EXPECT_EQ(boundaries.back(), csr.cols());
-    EXPECT_TRUE(std::is_sorted(boundaries.begin(), boundaries.end()));
-  }
-}
-
-TEST_P(RangeKernelTest, RangesComposeToFullScatterBitwise) {
-  Graph graph = TestGraph(GetParam());
-  const la::CsrMatrix& csr = graph.Transition();
-  const uint32_t n = csr.rows();
-  Rng rng(GetParam());
-
-  std::vector<double> x(n);
-  for (double& v : x) v = rng.NextDouble();
-  std::vector<double> dense;
-  csr.SpMvTranspose(x, dense);
-
-  for (size_t parts : {size_t{1}, size_t{3}, size_t{8}}) {
-    const std::vector<uint32_t> boundaries =
-        csr.NnzBalancedColumnRanges(parts);
-    std::vector<double> composed(n, -1.0);  // ranges must overwrite fully
-    for (size_t p = 0; p < parts; ++p) {
-      csr.SpMvTransposeRange(x, composed, boundaries[p], boundaries[p + 1]);
-    }
-    ExpectBitwiseEq(composed, dense, "parts " + std::to_string(parts));
-  }
-}
-
-TEST_P(RangeKernelTest, ParallelScatterMatchesSequentialBitwise) {
-  Graph graph = TestGraph(GetParam());
-  const la::CsrMatrix& csr = graph.Transition();
-  const uint32_t n = csr.rows();
-  Rng rng(GetParam());
-
-  std::vector<double> x(n);
-  for (double& v : x) v = rng.NextDouble();
-  std::vector<double> dense;
-  csr.SpMvTranspose(x, dense);
-
-  la::DenseBlock bx(n, 6);
-  for (uint32_t r = 0; r < n; ++r) {
-    for (size_t b = 0; b < 6; ++b) bx.At(r, b) = rng.NextDouble();
-  }
-  la::DenseBlock bdense;
-  csr.SpMmTranspose(bx, bdense);
-
-  const std::vector<uint32_t> boundaries = csr.NnzBalancedColumnRanges(4);
-
-  la::SerialTaskRunner serial;
-  ThreadPool pool(4);
-  for (la::TaskRunner* runner :
-       {static_cast<la::TaskRunner*>(&serial),
-        static_cast<la::TaskRunner*>(&pool)}) {
-    std::vector<double> y;
-    csr.SpMvTransposeParallel(x, y, boundaries, *runner);
-    ExpectBitwiseEq(y, dense, "SpMv parallel");
-
-    la::DenseBlock by;
-    csr.SpMmTransposeParallel(bx, by, boundaries, *runner);
-    ExpectBlockBitwiseEq(by, bdense, "SpMm parallel");
-  }
-}
-
-TEST_P(RangeKernelTest, GraphParallelMultiplyMatchesSequential) {
-  Graph graph = TestGraph(GetParam());
-  const uint32_t n = graph.num_nodes();
-  Rng rng(GetParam());
-
-  std::vector<double> x(n);
-  for (double& v : x) v = rng.NextDouble();
-  std::vector<double> expected;
-  graph.MultiplyTranspose(x, expected);
-
-  ThreadPool pool(3);
-  std::vector<double> got;
-  graph.MultiplyTransposeParallel(x, got, pool);
-  ExpectBitwiseEq(got, expected, "graph SpMv parallel");
-
-  la::DenseBlock bx(n, 8);
-  for (uint32_t r = 0; r < n; ++r) {
-    for (size_t b = 0; b < 8; ++b) bx.At(r, b) = rng.NextDouble();
-  }
-  la::DenseBlock bexpected;
-  graph.MultiplyTransposeBlock(bx, bexpected);
-  la::DenseBlock bgot;
-  graph.MultiplyTransposeBlockParallel(bx, bgot, pool);
-  ExpectBlockBitwiseEq(bgot, bexpected, "graph SpMm parallel");
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, RangeKernelTest,
                          ::testing::Values(1u, 7u, 42u));
 
 }  // namespace

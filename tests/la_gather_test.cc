@@ -1,10 +1,12 @@
-/// Pull-flavor (gather) kernel coverage: SpMv and SpMm — the non-transpose
-/// direction CPI's use_pull ablation runs — pinned bitwise against a
-/// reference triple-loop on random and adversarial CSRs, mirroring
-/// la_frontier_test.cc's rigor on the scatter side.
+/// Pull-flavor (gather) kernel coverage: SpMv — the non-transpose
+/// direction CPI's use_pull ablation runs — and its frontier-sparse head,
+/// pinned bitwise against a reference triple-loop on random and
+/// adversarial CSRs, mirroring la_frontier_test.cc's rigor on the scatter
+/// side.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -14,7 +16,6 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "la/csr_matrix.h"
-#include "la/dense_block.h"
 #include "util/check.h"
 #include "util/random.h"
 
@@ -55,35 +56,13 @@ std::vector<double> RandomVector(size_t n, uint64_t seed) {
   return x;
 }
 
-/// Checks SpMv against the reference and SpMm against per-vector SpMv,
-/// bitwise, across specialized (≤16) and generic (>16) block widths.
+/// Checks SpMv against the reference, bitwise.
 void CheckGatherKernels(const la::CsrMatrix& a, uint64_t seed,
                         const std::string& label) {
   const std::vector<double> x = RandomVector(a.cols(), seed);
   std::vector<double> y;
   a.SpMv(x, y);
   ExpectBitwiseEq(y, ReferenceSpMv(a, x), label + " SpMv");
-
-  for (size_t width : {size_t{1}, size_t{2}, size_t{3}, size_t{7}, size_t{8},
-                       size_t{16}, size_t{17}}) {
-    la::DenseBlock block_x(a.cols(), width);
-    std::vector<std::vector<double>> columns(width);
-    for (size_t b = 0; b < width; ++b) {
-      columns[b] = RandomVector(a.cols(), seed + 1000 * (b + 1));
-      block_x.SetVector(b, columns[b]);
-    }
-    la::DenseBlock block_y;
-    a.SpMm(block_x, block_y);
-    ASSERT_EQ(block_y.rows(), a.rows()) << label;
-    ASSERT_EQ(block_y.num_vectors(), width) << label;
-    for (size_t b = 0; b < width; ++b) {
-      std::vector<double> scalar;
-      a.SpMv(columns[b], scalar);
-      ExpectBitwiseEq(block_y.ExtractVector(b), scalar,
-                      label + " SpMm width " + std::to_string(width) +
-                          " vector " + std::to_string(b));
-    }
-  }
 }
 
 TEST(GatherKernelTest, AdversarialCsrWithEmptyRows) {
@@ -187,8 +166,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GatherGraphTest,
                          ::testing::Values(1u, 7u, 42u));
 
 // ---------------------------------------------------------------------------
-// Frontier-sparse gather head (SpMvFrontier / SpMmFrontier / ExpandFrontier)
-// — the pull-side mirror of la_frontier_test.cc's scatter coverage.
+// Frontier-sparse gather head (SpMvFrontier / ExpandFrontier) — the
+// pull-side mirror of la_frontier_test.cc's scatter coverage.
 // ---------------------------------------------------------------------------
 
 /// The adversarial 6×5 CSR shared by the dense gather tests above: rows 1,
@@ -316,46 +295,6 @@ TEST(GatherFrontierTest, PullFrontierPipelineMatchesDenseOnGraph) {
   std::fill(y.begin(), y.end(), 0.0);
   ASSERT_TRUE(in_csr.SpMvFrontier(x2, candidates, 0.9, y, nonzero_rows));
   ExpectBitwiseEq(y, dense, "pull pipeline hop 2");
-}
-
-TEST(GatherFrontierTest, BlockFrontierMatchesSpMmAcrossWidths) {
-  const la::CsrMatrix a = AdversarialCsr();
-  const std::vector<uint32_t> candidates = {0, 2, 4};
-  for (size_t width : {size_t{1}, size_t{3}, size_t{8}, size_t{17}}) {
-    la::DenseBlock block_x(a.cols(), width);
-    for (size_t b = 0; b < width; ++b) {
-      block_x.SetVector(b, RandomVector(a.cols(), 50 + 10 * b));
-    }
-    la::DenseBlock dense;
-    a.SpMm(block_x, dense);
-
-    la::DenseBlock y(a.rows(), width);
-    std::vector<uint32_t> nonzero_rows;
-    ASSERT_TRUE(a.SpMmFrontier(block_x, candidates, 0.9, y, nonzero_rows));
-    const std::string label = "block width " + std::to_string(width);
-    for (uint32_t r : candidates) {
-      for (size_t b = 0; b < width; ++b) {
-        ASSERT_EQ(y.At(r, b), dense.At(r, b)) << label << " row " << r;
-      }
-    }
-    for (uint32_t r : {1u, 3u, 5u}) {
-      for (size_t b = 0; b < width; ++b) {
-        ASSERT_EQ(y.At(r, b), 0.0) << label << " untouched row " << r;
-      }
-    }
-    EXPECT_EQ(nonzero_rows, (std::vector<uint32_t>{0, 2, 4})) << label;
-
-    // Dense fallthrough mirrors SpMm for the whole block.
-    la::DenseBlock y_dense(a.rows(), width);
-    ASSERT_FALSE(
-        a.SpMmFrontier(block_x, candidates, 0.0, y_dense, nonzero_rows));
-    for (uint32_t r = 0; r < a.rows(); ++r) {
-      for (size_t b = 0; b < width; ++b) {
-        ASSERT_EQ(y_dense.At(r, b), dense.At(r, b)) << label;
-      }
-    }
-    EXPECT_TRUE(nonzero_rows.empty());
-  }
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "la/csr_matrix.h"
-#include "la/dense_block.h"
 #include "la/precision.h"
 #include "la/vector_ops.h"
 #include "util/check.h"
@@ -29,8 +28,7 @@ namespace tpa {
 namespace {
 
 /// Reference y = A x at the fp32 tier: fp64 row accumulator over fp64
-/// products, rounded to fp32 once on store — the contract of SpMv and of
-/// each vector of SpMm.
+/// products, rounded to fp32 once on store — the contract of SpMv.
 std::vector<float> ReferenceSpMv(const la::CsrMatrixF& a,
                                  const std::vector<float>& x) {
   std::vector<float> y(a.rows());
@@ -49,7 +47,7 @@ std::vector<float> ReferenceSpMv(const la::CsrMatrixF& a,
 
 /// Reference y = A^T x at the fp32 tier: native fp32 updates (the product
 /// and the add each round once per edge), rows ascending — the contract of
-/// SpMvTranspose and of each vector of SpMmTranspose.
+/// SpMvTranspose.
 std::vector<float> ReferenceSpMvTranspose(const la::CsrMatrixF& a,
                                           const std::vector<float>& x) {
   std::vector<float> y(a.cols(), 0.0f);
@@ -91,10 +89,7 @@ std::vector<uint32_t> FullFrontier(size_t rows) {
 
 /// Pins every fp32 kernel flavor on one matrix, bitwise:
 ///  * SpMv / SpMvTranspose against the reference loops,
-///  * SpMm / SpMmTranspose per vector against the scalar kernels,
-///  * the frontier scatters against their dense counterparts,
-///  * the range scatters composed over a split of [0, cols) against the
-///    full scatter.
+///  * the frontier scatter against its dense counterpart.
 void CheckPrecisionKernels(const la::CsrMatrixF& a, uint64_t seed,
                            const std::string& label) {
   const std::vector<float> x_cols = RandomVector(a.cols(), seed);
@@ -126,79 +121,6 @@ void CheckPrecisionKernels(const la::CsrMatrixF& a, uint64_t seed,
                                        next_frontier.end(),
                                        static_cast<uint32_t>(c)))
             << label << " column " << c << " missing from next frontier";
-      }
-    }
-  }
-
-  // Range scatter: two asymmetric ranges composing [0, cols) must match the
-  // full scatter bitwise.
-  if (a.cols() > 1) {
-    std::vector<float> yr(a.cols(), -1.0f);
-    const uint32_t mid = a.cols() / 3 + 1;
-    a.SpMvTransposeRange(x_rows, yr, 0, mid);
-    a.SpMvTransposeRange(x_rows, yr, mid, a.cols());
-    ExpectBitwiseEq(yr, yt, label + " SpMvTransposeRange composition");
-  }
-
-  for (size_t width : {size_t{1}, size_t{2}, size_t{3}, size_t{7}, size_t{8},
-                       size_t{16}, size_t{17}}) {
-    la::DenseBlockF gather_x(a.cols(), width);
-    la::DenseBlockF scatter_x(a.rows(), width);
-    std::vector<std::vector<float>> gather_cols(width);
-    std::vector<std::vector<float>> scatter_cols(width);
-    for (size_t b = 0; b < width; ++b) {
-      gather_cols[b] = RandomVector(a.cols(), seed + 1000 * (b + 1));
-      gather_x.SetVector(b, gather_cols[b]);
-      scatter_cols[b] = RandomVector(a.rows(), seed + 2000 * (b + 1));
-      scatter_x.SetVector(b, scatter_cols[b]);
-    }
-
-    la::DenseBlockF gather_y;
-    a.SpMm(gather_x, gather_y);
-    la::DenseBlockF scatter_y;
-    a.SpMmTranspose(scatter_x, scatter_y);
-    for (size_t b = 0; b < width; ++b) {
-      std::vector<float> scalar;
-      a.SpMv(gather_cols[b], scalar);
-      ExpectBitwiseEq(gather_y.ExtractVector(b), scalar,
-                      label + " SpMm width " + std::to_string(width) +
-                          " vector " + std::to_string(b));
-      a.SpMvTranspose(scatter_cols[b], scalar);
-      ExpectBitwiseEq(scatter_y.ExtractVector(b), scalar,
-                      label + " SpMmTranspose width " +
-                          std::to_string(width) + " vector " +
-                          std::to_string(b));
-    }
-
-    // Block frontier scatter against the dense block scatter.
-    if (a.rows() > 0) {
-      la::DenseBlockF frontier_y(a.cols(), width);
-      std::vector<uint32_t> next_frontier;
-      la::FrontierScratch scratch;
-      const bool stayed =
-          a.SpMmTransposeFrontier(scatter_x, FullFrontier(a.rows()), 1.0,
-                                  frontier_y, next_frontier, scratch);
-      EXPECT_TRUE(stayed) << label;
-      for (size_t b = 0; b < width; ++b) {
-        ExpectBitwiseEq(frontier_y.ExtractVector(b),
-                        scatter_y.ExtractVector(b),
-                        label + " SpMmTransposeFrontier width " +
-                            std::to_string(width) + " vector " +
-                            std::to_string(b));
-      }
-    }
-
-    // Block range composition.
-    if (a.cols() > 1) {
-      la::DenseBlockF range_y(a.cols(), width);
-      const uint32_t mid = a.cols() / 3 + 1;
-      a.SpMmTransposeRange(scatter_x, range_y, 0, mid);
-      a.SpMmTransposeRange(scatter_x, range_y, mid, a.cols());
-      for (size_t b = 0; b < width; ++b) {
-        ExpectBitwiseEq(range_y.ExtractVector(b), scatter_y.ExtractVector(b),
-                        label + " SpMmTransposeRange width " +
-                            std::to_string(width) + " vector " +
-                            std::to_string(b));
       }
     }
   }
@@ -337,17 +259,7 @@ TEST(PrecisionGraphTest, Fp32MaterializationHalvesValueBytes) {
   for (size_t e = 0; e < v64.size(); ++e) EXPECT_EQ(vb[e], v64[e]);
 }
 
-TEST(PrecisionBlockTest, DenseBlockFAndConversions) {
-  la::DenseBlockF block(4, 3);
-  EXPECT_EQ(block.SizeBytes(), 4 * 3 * sizeof(float));
-  block.At(2, 1) = 0.5f;
-  la::DenseBlock wide;
-  la::ConvertBlock(block, wide);
-  EXPECT_EQ(wide.rows(), 4u);
-  EXPECT_EQ(wide.num_vectors(), 3u);
-  EXPECT_EQ(wide.At(2, 1), 0.5);
-  EXPECT_EQ(wide.At(0, 0), 0.0);
-
+TEST(PrecisionConversionTest, ConvertVectorNarrowsExactValues) {
   const std::vector<float> narrow =
       la::ConvertVector<float>(std::vector<double>{1.0, 0.25, -2.0});
   EXPECT_EQ(narrow, (std::vector<float>{1.0f, 0.25f, -2.0f}));
